@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from math import factorial
 
 from . import coefficients as coeff
@@ -21,32 +20,10 @@ from . import harmonics, invariants
 from .bernoulli import bernoulli, scaled_bernoulli
 from .multipoly import MultiPoly
 
-__all__ = ["RunConfig", "dispatch", "emit_table", "main", "TABLE_MAX_N"]
+__all__ = ["emit_table", "main", "TABLE_MAX_N"]
 
 TABLE_MAX_N = 6
 FORMATS = ("text", "csv", "json")
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters for one invocation."""
-
-    command: str
-    subcommand: str = ""
-    n: int = 0
-    m: int = 0
-    k: int = 0
-    count: int = 0
-    order: int = 16
-    n_max: int = 4
-    route: str = "all"
-    what: str = ""
-    fmt: str = "text"
-    out: str = ""
-    use_delta: bool = True
-    poly_file: str = ""
-    allow_large: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class _Output:
@@ -92,31 +69,32 @@ def _csv_text(header, rows):
     return sink.getvalue()
 
 
-def cmd_coeff(config, out):
-    if config.route == "extremal" and coeff.closed_form(config.n, config.m, config.k) is None:
-        out.line(f"extremal     not applicable at ({config.n},{config.m},{config.k})")
+def cmd_coeff(args, out):
+    n, m, k = args.n, args.m, args.k
+    if args.route == "extremal" and coeff.closed_form(n, m, k) is None:
+        out.line(f"extremal     not applicable at ({n},{m},{k})")
         return 0
     coeff_records = (
-        coeff.route_records(config.n, config.m, config.k)
-        if config.route == "all"
-        else [coeff.coefficient_record(config.n, config.m, config.k, config.route)]
+        coeff.route_records(n, m, k)
+        if args.route == "all"
+        else [coeff.coefficient_record(n, m, k, args.route)]
     )
     values = {r.value for r in coeff_records}
     agree = len(values) == 1
-    if config.fmt == "json":
+    if args.fmt == "json":
         out.line(
             json.dumps(
                 {
-                    "n": config.n,
-                    "m": config.m,
-                    "k": config.k,
+                    "n": n,
+                    "m": m,
+                    "k": k,
                     "records": [{"route": r.route, "value": str(r.value)} for r in coeff_records],
                     "agree": agree,
                 },
                 indent=2,
             )
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(
             _csv_text(
                 ["route", "n", "m", "k", "value"],
@@ -132,38 +110,33 @@ def cmd_coeff(config, out):
     return 0 if agree else 1
 
 
+def _grid(n_max):
+    """Cells 1 <= m <= n <= n_max, 0 <= k <= n, for a bound 1 <= n_max <= TABLE_MAX_N."""
+    if not 1 <= n_max <= TABLE_MAX_N:
+        raise ValueError(f"grid bound must be between 1 and {TABLE_MAX_N}")
+    return [
+        (n, m, k)
+        for n in range(1, n_max + 1)
+        for m in range(1, n + 1)
+        for k in range(n + 1)
+    ]
+
+
 def emit_table(n_max, fmt):
     """Deterministic coefficient table for 1 <= m <= n <= n_max, 0 <= k <= n.
 
     Each record carries the agreed value as "p/q" plus the list of routes
-    that produced it.  The matrix route participates up to n = 5; beyond
-    that it is skipped for runtime (the remaining routes stay exact).
+    that produced it; the routes are those of `coefficients.route_records`.
     """
-    if not 1 <= n_max <= TABLE_MAX_N:
-        raise ValueError(f"table bound must be between 1 and {TABLE_MAX_N}")
     records = []
-    for n in range(1, n_max + 1):
-        for m in range(1, n + 1):
-            for k in range(n + 1):
-                names = ["partition", "young", "generating", "recursion"]
-                if n <= 5:
-                    names.insert(0, "matrix")
-                if n <= 3:
-                    names.append("oracle")
-                recs = [coeff.coefficient_record(n, m, k, name) for name in names]
-                if coeff.closed_form(n, m, k) is not None:
-                    recs.append(coeff.coefficient_record(n, m, k, "extremal"))
-                consensus = coeff.coeff_by_young_sum(n, m, k)
-                agreeing = sorted(r.route for r in recs if r.value == consensus)
-                records.append(
-                    {
-                        "n": n,
-                        "m": m,
-                        "k": k,
-                        "value": str(consensus),
-                        "routesAgreeing": agreeing,
-                    }
-                )
+    for n, m, k in _grid(n_max):
+        consensus = coeff.coeff_by_young_sum(n, m, k)
+        agreeing = sorted(
+            r.route for r in coeff.route_records(n, m, k) if r.value == consensus
+        )
+        records.append(
+            {"n": n, "m": m, "k": k, "value": str(consensus), "routesAgreeing": agreeing}
+        )
     if fmt == "json":
         return json.dumps({"nMax": n_max, "records": records}, indent=2) + "\n"
     if fmt == "csv":
@@ -183,32 +156,32 @@ def emit_table(n_max, fmt):
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(config, out):
-    out.write(emit_table(config.n, config.fmt))
+def cmd_table(args, out):
+    out.write(emit_table(args.n, args.fmt))
     return 0
 
 
-def cmd_gen(config, out):
-    n = config.n if config.n else config.m
-    if config.what == "Ghat":
-        poly = gen.reversed_generating_poly(n, config.m)
-    elif config.what == "F":
-        poly = gen.bernstein_transform(n, config.m)
+def cmd_gen(args, out):
+    n = args.n if args.n else args.m
+    if args.what == "Ghat":
+        poly = gen.reversed_generating_poly(n, args.m)
+    elif args.what == "F":
+        poly = gen.bernstein_transform(n, args.m)
     else:
-        poly = gen.lifted_generating_poly(n, config.m)
-    if config.fmt == "json":
+        poly = gen.lifted_generating_poly(n, args.m)
+    if args.fmt == "json":
         out.line(
             json.dumps(
                 {
-                    "what": config.what or "G",
-                    "m": config.m,
+                    "what": args.what,
+                    "m": args.m,
                     "n": n,
                     "coefficients": poly.to_strings(),
                 },
                 indent=2,
             )
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(
             _csv_text(
                 ["power", "coefficient"],
@@ -220,18 +193,20 @@ def cmd_gen(config, out):
     return 0
 
 
-def cmd_bernoulli(config, out):
+def cmd_bernoulli(args, out):
+    if args.count < 1:
+        raise ValueError("need --count >= 1")
     rows = [
         [m, str(bernoulli(m)), str(scaled_bernoulli(m))]
-        for m in range(1, config.count + 1)
+        for m in range(1, args.count + 1)
     ]
-    if config.fmt == "json":
+    if args.fmt == "json":
         out.line(
             json.dumps(
                 {"rows": [{"m": m, "B": b, "b": s} for m, b, s in rows]}, indent=2
             )
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(_csv_text(["m", "B", "b"], rows))
     else:
         out.line(f"{'m':>3} {'B_m':<16} {'b_m':<16}")
@@ -240,24 +215,23 @@ def cmd_bernoulli(config, out):
     return 0
 
 
-def cmd_invariant(config, out):
-    what = config.what or "tau"
-    n = config.n
+def cmd_invariant(args, out):
+    what, n = args.what, args.n
     if what == "delta":
         poly = invariants.fundamental_alternating(n)
     elif what == "e":
-        poly = invariants.elementary_symmetric_squares(n, config.m)
+        poly = invariants.elementary_symmetric_squares(n, args.m)
     elif what == "h":
-        poly = invariants.flag_moment(n, config.k, config.m)
+        poly = invariants.flag_moment(n, args.k, args.m)
     elif what == "g":
-        poly = invariants.flag_moment_even(n, config.k, config.m)
+        poly = invariants.flag_moment_even(n, args.k, args.m)
     else:
-        poly = invariants.skeleton_invariant(n, config.k, config.m)
-    if config.fmt == "json":
+        poly = invariants.skeleton_invariant(n, args.k, args.m)
+    if args.fmt == "json":
         out.line(
             json.dumps({"what": what, "variables": n, "terms": poly.to_obj()}, indent=2)
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(
             _csv_text(
                 ["exponents", "coefficient"],
@@ -269,8 +243,8 @@ def cmd_invariant(config, out):
     return 0
 
 
-def cmd_verify_identities(config, out):
-    report = gen.identity_report(config.order)
+def cmd_verify_identities(args, out):
+    report = gen.identity_report(args.order)
     failed = 0
     for check in report.checks:
         if check.ok:
@@ -285,34 +259,48 @@ def cmd_verify_identities(config, out):
 def _load_poly(path, n):
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("polynomial file must hold a JSON object")
     if data.get("variables") != n:
         raise ValueError("polynomial file variable count does not match --n")
-    return MultiPoly.from_obj(n, data["terms"])
+    terms = data.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError('polynomial file needs a "terms" list')
+    for term in terms:
+        if not (
+            isinstance(term, list)
+            and len(term) == 2
+            and isinstance(term[0], list)
+            and all(type(e) is int and e >= 0 for e in term[0])
+            and isinstance(term[1], (str, int))
+        ):
+            raise ValueError(f"malformed polynomial term {json.dumps(term)}")
+    return MultiPoly.from_obj(n, terms)
 
 
-def cmd_verify_mvp(config, out):
-    if config.poly_file:
-        f = _load_poly(config.poly_file, config.n)
-        label = config.poly_file
+def cmd_verify_mvp(args, out):
+    if args.poly_file:
+        f = _load_poly(args.poly_file, args.n)
+        label = args.poly_file
     else:
-        f = invariants.fundamental_alternating(config.n)
+        f = invariants.fundamental_alternating(args.n)
         label = "alternating polynomial"
-    report = harmonics.mean_value_report(f, config.n, config.k)
-    names = [f"x{i + 1}" for i in range(config.n)] + ["r"]
+    report = harmonics.mean_value_report(f, args.n, args.k)
+    names = [f"x{i + 1}" for i in range(args.n)] + ["r"]
     if report.holds:
-        out.line(f"ok   mean value property holds for {label} (n={config.n}, k={config.k})")
+        out.line(f"ok   mean value property holds for {label} (n={args.n}, k={args.k})")
     else:
         out.line(
-            f"FAIL mean value property fails for {label} (n={config.n}, k={config.k});"
+            f"FAIL mean value property fails for {label} (n={args.n}, k={args.k});"
             f" residual {report.residual.pretty(names)}"
         )
     _summary(out, "verify mvp", 1, 0 if report.holds else 1)
     return 0 if report.holds else 1
 
 
-def cmd_verify_dimension(config, out):
-    n = config.n
-    dim = harmonics.harmonic_module_dimension(n, allow_large=config.allow_large)
+def cmd_verify_dimension(args, out):
+    n = args.n
+    dim = harmonics.harmonic_module_dimension(n, allow_large=args.allow_large)
     expected = 2 ** n * factorial(n)
     ok = dim == expected
     status = "ok  " if ok else "FAIL"
@@ -321,8 +309,10 @@ def cmd_verify_dimension(config, out):
     return 0 if ok else 1
 
 
-def cmd_verify_annihilation(config, out):
-    n = config.n
+def cmd_verify_annihilation(args, out):
+    n = args.n
+    if n < 1:
+        raise ValueError("need --n >= 1")
     failed = 0
     checks = 0
     for m in range(1, n + 1):
@@ -337,51 +327,28 @@ def cmd_verify_annihilation(config, out):
     return 0 if failed == 0 else 1
 
 
-def cmd_verify_routes(config, out):
+def cmd_verify_routes(args, out):
+    cells = _grid(args.n_max)
     failed = 0
-    checks = 0
-    for n in range(1, config.n_max + 1):
-        for m in range(1, n + 1):
-            for k in range(n + 1):
-                checks += 1
-                records = coeff.route_records(n, m, k)
-                values = {r.value for r in records}
-                if len(values) == 1:
-                    out.line(f"ok   ({n},{m},{k}) = {records[0].value}")
-                else:
-                    failed += 1
-                    detail = ", ".join(f"{r.route}={r.value}" for r in records)
-                    out.line(f"FAIL ({n},{m},{k}): {detail}")
-    _summary(out, "verify routes", checks, failed)
+    for n, m, k in cells:
+        records = coeff.route_records(n, m, k)
+        if len({r.value for r in records}) == 1:
+            out.line(f"ok   ({n},{m},{k}) = {records[0].value}")
+        else:
+            failed += 1
+            detail = ", ".join(f"{r.route}={r.value}" for r in records)
+            out.line(f"FAIL ({n},{m},{k}): {detail}")
+    _summary(out, "verify routes", len(cells), failed)
     return 0 if failed == 0 else 1
 
 
-_HANDLERS = {
-    ("coeff", ""): cmd_coeff,
-    ("table", ""): cmd_table,
-    ("gen", ""): cmd_gen,
-    ("bernoulli", ""): cmd_bernoulli,
-    ("invariant", ""): cmd_invariant,
-    ("verify", "identities"): cmd_verify_identities,
-    ("verify", "mvp"): cmd_verify_mvp,
-    ("verify", "dimension"): cmd_verify_dimension,
-    ("verify", "annihilation"): cmd_verify_annihilation,
-    ("verify", "routes"): cmd_verify_routes,
-}
-
-
-def dispatch(config):
-    """Run one validated command; returns the process exit code."""
-    out = _Output(config.out)
-    handler = _HANDLERS[(config.command, config.subcommand)]
-    code = handler(config, out)
-    out.flush()
-    return code
+def _add_out_arg(parser):
+    parser.add_argument("--out", default="", help="write output to this file")
 
 
 def _add_format_args(parser):
     parser.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-    parser.add_argument("--out", default="", help="write output to this file")
+    _add_out_arg(parser)
 
 
 def build_parser():
@@ -395,26 +362,26 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--route",
-        default="all",
-        choices=["all", "matrix", "partition", "young", "generating", "recursion", "oracle", "extremal"],
-    )
+    p.add_argument("--route", default="all", choices=["all", *coeff.ROUTES])
     _add_format_args(p)
+    p.set_defaults(handler=cmd_coeff)
 
     p = sub.add_parser("table", help="full coefficient grid with route agreement")
     p.add_argument("--n", type=int, required=True, help="largest n in the grid")
     _add_format_args(p)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("gen", help="generating polynomials")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--what", default="G", choices=["G", "Ghat", "F"])
     _add_format_args(p)
+    p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("bernoulli", help="Bernoulli numbers, positive convention")
     p.add_argument("--count", type=int, required=True)
     _add_format_args(p)
+    p.set_defaults(handler=cmd_bernoulli)
 
     p = sub.add_parser("invariant", help="invariant polynomials, canonical form")
     p.add_argument("--n", type=int, required=True)
@@ -422,13 +389,15 @@ def build_parser():
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--what", default="tau", choices=["h", "g", "tau", "delta", "e"])
     _add_format_args(p)
+    p.set_defaults(handler=cmd_invariant)
 
     p = sub.add_parser("verify", help="exact verification suites")
     vsub = p.add_subparsers(dest="subcommand", required=True)
 
     v = vsub.add_parser("identities", help="series identities with polynomial coefficients")
     v.add_argument("--order", type=int, default=16)
-    _add_format_args(v)
+    _add_out_arg(v)
+    v.set_defaults(handler=cmd_verify_identities)
 
     v = vsub.add_parser("mvp", help="mean value property as a polynomial identity")
     v.add_argument("--n", type=int, required=True)
@@ -436,52 +405,38 @@ def build_parser():
     group = v.add_mutually_exclusive_group()
     group.add_argument("--delta", action="store_true", help="check the alternating polynomial (default)")
     group.add_argument("--f", dest="poly_file", default="", help="JSON polynomial file")
-    _add_format_args(v)
+    _add_out_arg(v)
+    v.set_defaults(handler=cmd_verify_mvp)
 
     v = vsub.add_parser("dimension", help="derivative module dimension")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--allow-large", action="store_true", help="permit n = 4 (slow)")
-    _add_format_args(v)
+    _add_out_arg(v)
+    v.set_defaults(handler=cmd_verify_dimension)
 
     v = vsub.add_parser("annihilation", help="invariants annihilate the alternating polynomial")
     v.add_argument("--n", type=int, required=True)
-    _add_format_args(v)
+    _add_out_arg(v)
+    v.set_defaults(handler=cmd_verify_annihilation)
 
     v = vsub.add_parser("routes", help="cross-route coefficient agreement")
     v.add_argument("--n-max", type=int, default=4)
-    _add_format_args(v)
+    _add_out_arg(v)
+    v.set_defaults(handler=cmd_verify_routes)
 
     return parser
 
 
-def _config_from_namespace(ns):
-    return RunConfig(
-        command=ns.command,
-        subcommand=getattr(ns, "subcommand", "") or "",
-        n=getattr(ns, "n", 0) or 0,
-        m=getattr(ns, "m", 0) or 0,
-        k=getattr(ns, "k", 0) or 0,
-        count=getattr(ns, "count", 0) or 0,
-        order=getattr(ns, "order", 16),
-        n_max=getattr(ns, "n_max", 4),
-        route=getattr(ns, "route", "all"),
-        what=getattr(ns, "what", ""),
-        fmt=getattr(ns, "fmt", "text"),
-        out=getattr(ns, "out", ""),
-        poly_file=getattr(ns, "poly_file", ""),
-        allow_large=getattr(ns, "allow_large", False),
-    )
-
-
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    config = _config_from_namespace(ns)
+    args = build_parser().parse_args(argv)
+    out = _Output(args.out)
     try:
-        return dispatch(config)
+        code = args.handler(args, out)
+        out.flush()
     except (ValueError, OSError, invariants.TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -321,37 +321,38 @@ ROUTES = {
     "generating": coeff_by_generating,
     "recursion": coeff_by_recursion,
     "oracle": coeff_by_expansion,
+    "extremal": closed_form,
 }
+
+# Largest n at which a route joins a multi-route sweep; every other route
+# joins at every n.  The matrix route enumerates every staircase matrix
+# (minutes at n = 6) and the oracle expands symbolically.
+SWEEP_MAX_N = {"matrix": 5, "oracle": 3}
 
 
 def coefficient_record(n, m, k, route):
     """One computed coefficient tagged with its route."""
-    if route == "extremal":
-        value = closed_form(n, m, k)
-        if value is None:
-            raise ValueError(f"no closed form applies at ({n},{m},{k})")
-    else:
-        try:
-            func = ROUTES[route]
-        except KeyError:
-            raise ValueError(f"unknown route {route!r}") from None
-        value = func(n, m, k)
+    try:
+        func = ROUTES[route]
+    except KeyError:
+        raise ValueError(f"unknown route {route!r}") from None
+    value = func(n, m, k)
+    if value is None:
+        raise ValueError(f"route {route!r} does not apply at ({n},{m},{k})")
     return CoefficientRecord(n, m, k, value, route)
 
 
-def route_records(n, m, k, include_oracle=None):
-    """Records for every applicable route at one grid cell.
+def route_records(n, m, k):
+    """Records for every route that joins the sweep at one grid cell.
 
-    The symbolic oracle is included up to its practical bound by default;
-    the closed form joins whenever it applies.
+    A route joins up to its `SWEEP_MAX_N` bound; the closed form joins
+    whenever it applies.
     """
     _validate(n, m, k)
-    if include_oracle is None:
-        include_oracle = n <= 3
-    names = ["matrix", "partition", "young", "generating", "recursion"]
-    if include_oracle:
-        names.append("oracle")
-    records = [coefficient_record(n, m, k, name) for name in names]
-    if closed_form(n, m, k) is not None:
-        records.append(coefficient_record(n, m, k, "extremal"))
+    records = []
+    for route, func in ROUTES.items():
+        if n <= SWEEP_MAX_N.get(route, n):
+            value = func(n, m, k)
+            if value is not None:
+                records.append(CoefficientRecord(n, m, k, value, route))
     return records

@@ -143,6 +143,14 @@ def _monomials_of_degree(polys):
     return sorted(support, key=grlex_key)
 
 
+def _row(poly, index):
+    """Dense coefficient row of `poly` over the monomials numbered by `index`."""
+    row = [Fraction(0)] * len(index)
+    for mono, c in poly.terms.items():
+        row[index[mono]] = c
+    return row
+
+
 def _independent_subset(polys):
     """Greedy maximal linearly independent subset, in input order."""
     polys = [p for p in polys if not p.is_zero()]
@@ -153,10 +161,7 @@ def _independent_subset(polys):
     basis = RowBasis(len(support))
     kept = []
     for p in polys:
-        row = [Fraction(0)] * len(support)
-        for mono, c in p.terms.items():
-            row[index[mono]] = c
-        if basis.add(row):
+        if basis.add(_row(p, index)):
             kept.append(p)
     return kept
 
@@ -237,19 +242,13 @@ def harmonic_basis_report(n, allow_large=False):
         index = {mono: i for i, mono in enumerate(support)}
         basis = RowBasis(len(support))
         for p in below:
-            row = [Fraction(0)] * len(support)
-            for mono, c in p.terms.items():
-                row[index[mono]] = c
-            basis.add(row)
+            basis.add(_row(p, index))
         for p in layers[li]:
             for i in range(n):
                 d = p.partial(i)
                 if d.is_zero():
                     continue
-                row = [Fraction(0)] * len(support)
-                for mono, c in d.terms.items():
-                    row[index[mono]] = c
-                if not basis.contains(row):
+                if not basis.contains(_row(d, index)):
                     closure_ok = False
     expected = 2 ** n * factorial(n)
     return HarmonicBasisReport(n, dimension, expected, tuple(failures), closure_ok)

@@ -40,6 +40,13 @@ class TestCoeffCommand:
             main(["coeff", "--n", "2"])
         assert exc.value.code == 2
 
+    def test_all_routes_beyond_matrix_bound(self, capsys):
+        code, out, _ = run(capsys, "coeff", "--n", "6", "--m", "6", "--k", "3")
+        assert code == 0
+        routes = [line.split()[0] for line in out.splitlines()[:-1]]
+        assert routes == ["partition", "young", "generating", "recursion", "extremal"]
+        assert out.splitlines()[-1] == "routes agree"
+
 
 class TestTableCommand:
     def test_record_count_and_values(self, capsys):
@@ -103,6 +110,12 @@ class TestBernoulliCommand:
             "3,1/42,1/945",
         ]
 
+    def test_count_below_one(self, capsys):
+        code, out, err = run(capsys, "bernoulli", "--count", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestInvariantCommand:
     def test_tau_json(self, capsys):
@@ -149,6 +162,28 @@ class TestVerifyCommands:
         assert "FAIL" in out
         assert "2/3*r^2" in out
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"variables": 2},
+            [[[2, 0], "1"]],
+            {"variables": 2, "terms": [[2, "1"]]},
+        ],
+        ids=["no-terms", "top-level-list", "bad-term"],
+    )
+    def test_mvp_malformed_polynomial_file(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "mvp", "--n", "2", "--k", "1", "--f", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_verify_takes_no_format(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "mvp", "--n", "2", "--k", "1", "--format", "json"])
+        assert exc.value.code == 2
+
     def test_dimension(self, capsys):
         code, out, _ = run(capsys, "verify", "dimension", "--n", "2")
         assert code == 0
@@ -164,11 +199,23 @@ class TestVerifyCommands:
         assert code == 0
         assert out.count("ok   ") == 6
 
+    def test_annihilation_zero_checks(self, capsys):
+        code, out, err = run(capsys, "verify", "annihilation", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_routes(self, capsys):
         code, out, _ = run(capsys, "verify", "routes", "--n-max", "2")
         assert code == 0
         summary = json.loads(out.splitlines()[-1].removeprefix("SUMMARY "))
         assert summary["checks"] == 8 and summary["ok"]
+
+    def test_routes_zero_checks(self, capsys):
+        code, out, err = run(capsys, "verify", "routes", "--n-max", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestOutputFile:

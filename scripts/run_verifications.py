@@ -2,7 +2,8 @@
 """Run the full verification battery through the CLI and summarize.
 
 Exits nonzero if any verification fails.  The route sweep at --n-max 5
-is the slow part (staircase-matrix enumeration); expect ~20 seconds.
+is the slow part (staircase-matrix enumeration); the whole battery takes
+about 13 seconds with Python 3.11 on one Xeon core.
 """
 
 import argparse

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from math import factorial
 
 from . import coefficients as coeff
@@ -71,9 +72,6 @@ def _csv_text(header, rows):
 
 def cmd_coeff(args, out):
     n, m, k = args.n, args.m, args.k
-    if args.route == "extremal" and coeff.closed_form(n, m, k) is None:
-        out.line(f"extremal     not applicable at ({n},{m},{k})")
-        return 0
     coeff_records = (
         coeff.route_records(n, m, k)
         if args.route == "all"
@@ -275,6 +273,10 @@ def _load_poly(path, n):
             and isinstance(term[1], (str, int))
         ):
             raise ValueError(f"malformed polynomial term {json.dumps(term)}")
+        try:
+            Fraction(term[1])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad coefficient in polynomial term {json.dumps(term)}") from None
     return MultiPoly.from_obj(n, terms)
 
 

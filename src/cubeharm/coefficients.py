@@ -4,8 +4,9 @@ The coefficient c(n, m, k) multiplies the top elementary symmetric
 polynomial of the squared variables in the degree-2m skeleton invariant.
 Routes implemented here:
 
-  matrix      signed factorial-ratio sum over staircase matrices
-  partition   the same sum collapsed to ordered partitions
+  matrix      signed sum over ordered partitions nu, each column-sum fiber
+              of staircase matrices enumerated
+  partition   the same signed sum, each fiber by its closed form
   young       generating polynomial assembled over Young diagrams
   generating  generating polynomial from the Bernoulli recursion
   recursion   table filled by the coefficient recursion, seeded by the
@@ -24,7 +25,7 @@ from math import factorial
 
 from . import generating
 from .bernoulli import scaled_bernoulli
-from .combinat import compositions, quad_matrices_even, young_diagrams
+from .combinat import compositions, fiber_weight, young_diagrams
 from .invariants import expand_in_elementary_basis
 from .unipoly import ONE, T, UniPoly
 
@@ -81,24 +82,25 @@ def partition_sign_weight(n, m, nu):
     if m < 1:
         raise ValueError("need m >= 1")
     ell = sum(1 for v in nu if v)
-    return Fraction(m * (-1) ** (ell - 1) * factorial(ell - 1) * factorial(n - ell))
+    return m * (-1) ** (ell - 1) * factorial(ell - 1) * factorial(n - ell)
 
 
 def matrix_weight(n, k, nu):
     """Weighted count of staircase matrices with column sums nu.
 
-    Closed form (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!).
+    Closed form (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!),
+    the value of `combinat.fiber_weight` without the enumeration.
     """
     if len(nu) != n:
         raise ValueError("column-sum vector length must equal n")
     if any(v < 0 for v in nu):
         raise ValueError("column sums must be nonnegative")
-    value = Fraction(factorial(sum(nu) + k))
+    den = 1
     for j in range(1, k + 1):
-        value /= sum(nu[:j]) + j
+        den *= sum(nu[:j]) + j
     for v in nu:
-        value /= factorial(v)
-    return value
+        den *= factorial(v)
+    return Fraction(factorial(sum(nu) + k), den)
 
 
 def young_weight(k, mu):
@@ -108,78 +110,57 @@ def young_weight(k, mu):
     """
     if mu.length > k:
         raise ValueError("diagram has more than k parts")
-    value = Fraction(1)
+    den = 1
     for part, count in mu.multiplicities(nparts=k).items():
-        value /= factorial(count)
-        value /= factorial(2 * part + 1) ** count
-    return value
+        den *= factorial(count) * factorial(2 * part + 1) ** count
+    return Fraction(1, den)
 
 
-def _factorial_ratio(mat):
-    ratio = Fraction(1)
-    for s in mat.row_sums:
-        ratio *= factorial(s)
-    for row in mat.entries:
-        for e in row:
-            if e > 1:
-                ratio /= factorial(e)
-    return ratio
+def _signed_fiber_sum(n, m, k, fiber):
+    """The signed sum over ordered partitions nu of m into n parts.
+
+    Returns (-1)**(m-1)/n! * sum of partition_sign_weight(n, m, nu) *
+    fiber(n, k, 2 nu).  The staircase matrices with column sums 2 nu form
+    one fiber; the two sum routes differ only in how `fiber` weighs it.
+    """
+    total = sum(
+        partition_sign_weight(n, m, nu) * fiber(n, k, tuple(2 * v for v in nu))
+        for nu in compositions(m, n)
+    )
+    return Fraction((-1) ** (m - 1) * total, factorial(n))
 
 
 def coeff_by_matrix_sum(n, m, k):
-    """Signed sum over staircase matrices with even column sums."""
+    """Signed sum over staircase matrices, enumerating every column-sum fiber."""
     _validate(n, m, k)
-    total = Fraction(0)
-    for mat in quad_matrices_even(n, k, 2 * m):
-        ell = mat.nontrivial_columns
-        total += (
-            (-1) ** (ell - 1)
-            * factorial(ell - 1)
-            * factorial(n - ell)
-            * _factorial_ratio(mat)
-        )
-    return Fraction((-1) ** (m - 1) * m) * total / factorial(n)
+    return _signed_fiber_sum(n, m, k, fiber_weight)
 
 
 def coeff_by_partition_sum(n, m, k):
-    """The matrix sum collapsed along column-sum fibers to ordered partitions."""
+    """The matrix sum with each column-sum fiber weighed by its closed form."""
     _validate(n, m, k)
-    total = Fraction(0)
-    for nu in compositions(m, n):
-        ell = sum(1 for v in nu if v)
-        vbar = Fraction(1)
-        for j in range(1, k + 1):
-            vbar /= 2 * sum(nu[:j]) + j
-        for v in nu:
-            vbar /= factorial(2 * v)
-        total += (-1) ** (ell - 1) * factorial(ell - 1) * factorial(n - ell) * vbar
-    return Fraction((-1) ** (m - 1) * m * factorial(2 * m + k)) * total / factorial(n)
+    return _signed_fiber_sum(n, m, k, matrix_weight)
 
 
 @lru_cache(maxsize=None)
 def young_generating_poly(n, m):
     """Generating polynomial assembled from Young diagrams of weight m.
 
-    Each diagram with part multiplicities r_1..r_m contributes a signed
-    multinomial times (t+1)**(n - length) times the product over parts j
-    of (((2j+1) t + 1)/(2j+1)!)**r_j; the lift (t+1)**(n-length) is what
-    makes the result a polynomial.
+    Each diagram of length l with part multiplicities r_1..r_m contributes
+    (-1)**(l-1) (l-1)! young_weight(l, lambda) times (t+1)**(n - l) times
+    the product over parts j of ((2j+1) t + 1)**r_j; the lift
+    (t+1)**(n-l) is what makes the result a polynomial.
     """
     if not n >= m >= 1:
         raise ValueError("need n >= m >= 1")
     one_plus_t = ONE + T
     total = UniPoly()
     for lam in young_diagrams(m, m):
-        mult = lam.multiplicities()
         ell = lam.length
-        weight = Fraction((-1) ** (ell - 1) * factorial(ell - 1))
+        weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, lam)
         term = one_plus_t ** (n - ell)
-        for part, count in mult.items():
-            weight /= factorial(count)
-            factor = UniPoly((Fraction(1), Fraction(2 * part + 1))) * Fraction(
-                1, factorial(2 * part + 1)
-            )
-            term = term * factor ** count
+        for part, count in lam.multiplicities().items():
+            term = term * UniPoly((1, 2 * part + 1)) ** count
         total = total + weight * term
     return Fraction((-1) ** (m - 1) * m) * total
 

@@ -1,11 +1,12 @@
-"""Enumerators for compositions, Young diagrams and staircase matrices.
+"""Enumerators for compositions, Young diagrams and staircase matrices,
+and the staircase weight summed over a column-sum fiber.
 
-Everything here is a deterministic lazy stream: the matrix families grow
+The enumerators are deterministic lazy streams: the matrix families grow
 fast and the summation kernels only ever need one element at a time.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 __all__ = [
     "compositions",
@@ -15,6 +16,7 @@ __all__ = [
     "QuadMatrix",
     "quad_matrices_with_colsums",
     "quad_matrices_even",
+    "fiber_weight",
 ]
 
 
@@ -136,6 +138,18 @@ class QuadMatrix:
         """Number of columns containing at least one nonzero entry."""
         return sum(1 for col in zip(*self.entries) if any(col))
 
+    @property
+    def weight(self):
+        """Staircase weight: the product over rows of (row sum)! / prod entry!."""
+        total = 1
+        for row in self.entries:
+            multinomial = factorial(sum(row))
+            for e in row:
+                if e > 1:
+                    multinomial //= factorial(e)
+            total *= multinomial
+        return total
+
     def total(self):
         return sum(self.row_sums)
 
@@ -189,3 +203,11 @@ def quad_matrices_even(n, k, total):
         raise ValueError("total must be even")
     for nu in compositions(total // 2, n):
         yield from quad_matrices_with_colsums(n, k, tuple(2 * v for v in nu))
+
+
+def fiber_weight(n, k, colsums):
+    """Sum of the staircase weights of the matrices with the given column sums.
+
+    The enumerated counterpart of the closed form `coefficients.matrix_weight`.
+    """
+    return sum(mat.weight for mat in quad_matrices_with_colsums(n, k, colsums))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .combinat import compositions, quad_matrices_even, young_diagrams
+from .combinat import compositions, fiber_weight, young_diagrams
 from .linalg import solve_or_rank
 from .multipoly import MultiPoly, grlex_key
 
@@ -115,25 +115,18 @@ def flag_moment(n, k, m):
 def flag_moment_even(n, k, m):
     """Even part (under all sign flips) of flag_moment, by the staircase sum.
 
-    Each staircase matrix with even column sums adding to m contributes
-    (product of row-sum factorials / product of entry factorials) times
-    the monomial with the column sums as exponents.  Odd m gives zero.
+    The monomial with even exponents 2 nu (nu adding to m/2) has as its
+    coefficient the summed staircase weight of the matrices with column
+    sums 2 nu, enumerated by `fiber_weight`.  Odd m gives zero.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if m % 2:
         return MultiPoly.zero(n)
     coeffs = {}
-    for mat in quad_matrices_even(n, k, m):
-        weight = Fraction(1)
-        for s in mat.row_sums:
-            weight *= factorial(s)
-        for row in mat.entries:
-            for e in row:
-                if e > 1:
-                    weight /= factorial(e)
-        key = mat.col_sums
-        coeffs[key] = coeffs.get(key, Fraction(0)) + weight
+    for nu in compositions(m // 2, n):
+        colsums = tuple(2 * v for v in nu)
+        coeffs[colsums] = fiber_weight(n, k, colsums)
     return MultiPoly(n, coeffs)
 
 

@@ -47,6 +47,16 @@ class TestCoeffCommand:
         assert routes == ["partition", "young", "generating", "recursion", "extremal"]
         assert out.splitlines()[-1] == "routes agree"
 
+    def test_extremal_not_applicable_json(self, capsys):
+        code, out, err = run(
+            capsys,
+            "coeff", "--n", "6", "--m", "1", "--k", "2",
+            "--route", "extremal", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestTableCommand:
     def test_record_count_and_values(self, capsys):
@@ -168,8 +178,9 @@ class TestVerifyCommands:
             {"variables": 2},
             [[[2, 0], "1"]],
             {"variables": 2, "terms": [[2, "1"]]},
+            {"variables": 2, "terms": [[[2, 0], "1/0"]]},
         ],
-        ids=["no-terms", "top-level-list", "bad-term"],
+        ids=["no-terms", "top-level-list", "bad-term", "zero-denominator"],
     )
     def test_mvp_malformed_polynomial_file(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"

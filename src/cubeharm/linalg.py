@@ -1,8 +1,10 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact elimination over the rationals, on one sparse kernel.
 
-Matrices are plain sequences of rows of Fractions.  Solving reports
-inconsistency and underdetermination through dedicated exceptions so
-callers can tell a bad system apart from an internal bug.
+`RowBasis` is the one elimination kernel: an incremental echelon basis
+whose pivot rows are sparse.  `solve_or_rank` fills a `RowBasis` and
+reads from it the rank, or the unique solution of an augmented system.
+Solving reports inconsistency and underdetermination through dedicated
+exceptions so callers can tell a bad system apart from an internal bug.
 """
 
 from fractions import Fraction
@@ -29,63 +31,40 @@ class UnderdeterminedSystemError(LinearSystemError):
     """The system has more than one solution."""
 
 
-def _as_rows(matrix):
-    rows = [[c if isinstance(c, Fraction) else Fraction(c) for c in row] for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
 def solve_or_rank(matrix, rhs=None):
     """Return the rank of `matrix`, or the unique solution of matrix * x = rhs.
 
     Raises InconsistentSystemError when no solution exists and
     UnderdeterminedSystemError when the solution is not unique.
     """
-    rows = _as_rows(matrix)
+    rows = list(matrix)
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    if rhs is None:
+        basis = RowBasis(ncols)
+        for row in rows:
+            basis.add(row)
+        return basis.rank
     if not rows:
-        if rhs is not None:
-            raise ValueError("cannot solve an empty system")
-        return 0
-    ncols = len(rows[0])
-    augmented = rhs is not None
-    if augmented:
-        if len(rhs) != len(rows):
-            raise ValueError("rhs length does not match row count")
-        for row, b in zip(rows, rhs):
-            row.append(b if isinstance(b, Fraction) else Fraction(b))
+        raise ValueError("cannot solve an empty system")
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length does not match row count")
 
-    pivot_cols = []
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = Fraction(1) / rows[pivot_row][col]
-        rows[pivot_row] = [c * inv for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-
-    if not augmented:
-        return len(pivot_cols)
-
-    for r in range(pivot_row, len(rows)):
-        if rows[r][ncols]:
-            raise InconsistentSystemError("no solution")
-    if len(pivot_cols) < ncols:
+    basis = RowBasis(ncols + 1)
+    for row, b in zip(rows, rhs):
+        basis.add([*row, b])
+    pivots = basis._pivots
+    if ncols in pivots:
+        raise InconsistentSystemError("no solution")
+    if len(pivots) < ncols:
         raise UnderdeterminedSystemError("solution is not unique")
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][ncols]
+    for col in reversed(range(ncols)):
+        pivot = pivots[col]
+        solution[col] = pivot.get(ncols, Fraction(0)) - sum(
+            c * solution[j] for j, c in pivot.items() if col < j < ncols
+        )
     return solution
 
 
@@ -94,35 +73,44 @@ def rank(matrix):
 
 
 class RowBasis:
-    """Incrementally maintained row-echelon basis of rational row vectors."""
+    """Incrementally maintained row-echelon basis of rational row vectors.
+
+    Rows come in dense; each pivot row is kept sparse, as
+    {column: Fraction} with its leading entry 1.
+    """
 
     def __init__(self, width):
         self.width = width
-        self._pivots = {}  # leading column -> normalized reduced row
+        self._pivots = {}  # leading column -> normalized reduced sparse row
 
     def _reduce(self, row):
-        work = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
-        if len(work) != self.width:
+        """Sparse remainder of `row` after elimination against the pivots."""
+        if len(row) != self.width:
             raise ValueError("row width mismatch")
+        work = {i: c if isinstance(c, Fraction) else Fraction(c) for i, c in enumerate(row) if c}
         for col in sorted(self._pivots):
-            if work[col]:
-                factor = work[col]
-                pivot = self._pivots[col]
-                work = [a - factor * b for a, b in zip(work, pivot)]
+            factor = work.get(col)
+            if factor:
+                for j, b in self._pivots[col].items():
+                    value = work.get(j, 0) - factor * b
+                    if value:
+                        work[j] = value
+                    else:
+                        del work[j]
         return work
 
     def add(self, row):
         """Insert a row; returns True when it was independent of the basis."""
         reduced = self._reduce(row)
-        lead = next((i for i, c in enumerate(reduced) if c), None)
-        if lead is None:
+        if not reduced:
             return False
-        inv = Fraction(1) / reduced[lead]
-        self._pivots[lead] = [c * inv for c in reduced]
+        lead = min(reduced)
+        inv = 1 / reduced[lead]
+        self._pivots[lead] = {j: c * inv for j, c in reduced.items()}
         return True
 
     def contains(self, row):
-        return next((i for i, c in enumerate(self._reduce(row)) if c), None) is None
+        return not self._reduce(row)
 
     @property
     def rank(self):

@@ -179,8 +179,9 @@ class TestVerifyCommands:
             [[[2, 0], "1"]],
             {"variables": 2, "terms": [[2, "1"]]},
             {"variables": 2, "terms": [[[2, 0], "1/0"]]},
+            {"variables": 2, "terms": [[[2, 0], "1"], [[2, 0], "1"]]},
         ],
-        ids=["no-terms", "top-level-list", "bad-term", "zero-denominator"],
+        ids=["no-terms", "top-level-list", "bad-term", "zero-denominator", "duplicate-exponents"],
     )
     def test_mvp_malformed_polynomial_file(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"

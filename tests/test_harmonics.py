@@ -153,6 +153,17 @@ class TestBasisReport:
         assert rep.dimension == 8
         assert rep.all_ok
 
+    def test_closure_fails_on_a_truncated_layer(self, monkeypatch):
+        full = harmonic_basis(2)
+
+        def truncated(n, allow_large=False):
+            return [layer[:-1] if li == 2 else layer for li, layer in enumerate(full)]
+
+        monkeypatch.setattr("cubeharm.harmonics.harmonic_basis", truncated)
+        rep = harmonic_basis_report(2)
+        assert not rep.closure_ok
+        assert not rep.all_ok
+
     def test_invariant_witness_is_outside_module(self):
         # x1^2 x2^2 is invariant of positive degree: not in the module and
         # failing the mean value property at the vertices

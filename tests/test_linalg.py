@@ -47,6 +47,13 @@ def test_empty_matrix_rank():
     assert solve_or_rank([]) == 0
 
 
+def test_ragged_matrix_is_rejected():
+    with pytest.raises(ValueError):
+        solve_or_rank([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        solve_or_rank([[1, 2], [3]], [1, 2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

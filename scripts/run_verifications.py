@@ -3,8 +3,9 @@
 
 Exits nonzero if any verification fails.  The battery runs 18 commands,
 among them the n = 4 derivative module (about 0.1 s).  The route sweep at
---n-max 5 is the slow part (staircase-matrix enumeration); the whole
-battery takes about 4 seconds with Python 3.11.7 on one Xeon core.
+the default --n-max 6 is the slow part: about 8.6 s, nearly all of it the
+matrix route's fiber sums at n = 6.  The whole battery takes about 9
+seconds with Python 3.11.7 on one Xeon core.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from cubeharm.cli import main as cli_main
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=5)
+    parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--order", type=int, default=16)
     args = parser.parse_args()
 

@@ -5,7 +5,8 @@ polynomial of the squared variables in the degree-2m skeleton invariant.
 Routes implemented here:
 
   matrix      signed sum over ordered partitions nu, each column-sum fiber
-              of staircase matrices enumerated
+              of staircase matrices summed column by column (n <= 6 in
+              the sweep)
   partition   the same signed sum, each fiber by its closed form
   young       generating polynomial assembled over Young diagrams
   generating  generating polynomial from the Bernoulli recursion
@@ -21,7 +22,7 @@ cell.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from . import generating
 from .bernoulli import scaled_bernoulli
@@ -49,7 +50,7 @@ __all__ = [
     "route_records",
 ]
 
-SYMBOLIC_MAX_N = 4  # practical bound for the symbolic oracle
+SYMBOLIC_MAX_N = 5  # practical bound for the symbolic oracle
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def matrix_weight(n, k, nu):
     """Weighted count of staircase matrices with column sums nu.
 
     Closed form (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!),
-    the value of `combinat.fiber_weight` without the enumeration.
+    the value of `combinat.fiber_weight` without the column-by-column sum.
     """
     if len(nu) != n:
         raise ValueError("column-sum vector length must equal n")
@@ -131,7 +132,7 @@ def _signed_fiber_sum(n, m, k, fiber):
 
 
 def coeff_by_matrix_sum(n, m, k):
-    """Signed sum over staircase matrices, enumerating every column-sum fiber."""
+    """Signed sum over staircase matrices, each fiber summed column by column."""
     _validate(n, m, k)
     return _signed_fiber_sum(n, m, k, fiber_weight)
 
@@ -173,11 +174,15 @@ def coeff_by_young_sum(n, m, k):
 
 
 def coeff_by_generating(n, m, k):
-    """Read the coefficient off the Bernoulli-recursion generating polynomial."""
+    """Read the coefficient off the Bernoulli-recursion generating polynomial.
+
+    The t**(n-k) coefficient of the lift (t+1)**(n-m) * G_m is
+    sum_i G_m[i] * C(n-m, n-k-i), so the lift is never built.
+    """
     _validate(n, m, k)
-    return generating.coefficient_from_generating_poly(
-        generating.lifted_generating_poly(n, m), n, m, k
-    )
+    base = generating.generating_poly(m)
+    lifted = sum(base[i] * comb(n - m, n - k - i) for i in range(min(m, n - k) + 1))
+    return lifted * factorial(n - k) * factorial(2 * m + k) / factorial(n)
 
 
 def coeff_by_expansion(n, m, k):
@@ -306,9 +311,10 @@ ROUTES = {
 }
 
 # Largest n at which a route joins a multi-route sweep; every other route
-# joins at every n.  The matrix route enumerates every staircase matrix
-# (minutes at n = 6) and the oracle expands symbolically.
-SWEEP_MAX_N = {"matrix": 5, "oracle": 3}
+# joins at every n.  The matrix route sums each fiber by a dynamic program
+# whose states grow with n (seconds at n = 6) and the oracle expands
+# symbolically.
+SWEEP_MAX_N = {"matrix": 6, "oracle": 3}
 
 
 def coefficient_record(n, m, k, route):

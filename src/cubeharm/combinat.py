@@ -1,21 +1,19 @@
-"""Enumerators for compositions, Young diagrams and staircase matrices,
-and the staircase weight summed over a column-sum fiber.
+"""Enumerators for compositions and Young diagrams, and the staircase
+weight summed over a column-sum fiber.
 
-The enumerators are deterministic lazy streams: the matrix families grow
-fast and the summation kernels only ever need one element at a time.
+The enumerators are deterministic lazy streams.  `fiber_weight` sums the
+weights of a fiber column by column (a transfer matrix over the partial
+row sums) and builds no matrix.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
+from operator import add
 
 __all__ = [
     "compositions",
-    "count_compositions",
     "YoungDiagram",
     "young_diagrams",
-    "QuadMatrix",
-    "quad_matrices_with_colsums",
-    "quad_matrices_even",
     "fiber_weight",
 ]
 
@@ -40,10 +38,6 @@ def compositions(total, parts):
             yield from rec(i + 1, remaining - v)
 
     return rec(0, total)
-
-
-def count_compositions(total, parts):
-    return comb(total + parts - 1, parts - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,108 +100,44 @@ def young_diagrams(total, max_parts):
     return rec(total, total)
 
 
-@dataclass(frozen=True, slots=True)
-class QuadMatrix:
-    """Nonnegative integer matrix with zeros strictly below the diagonal.
+def fiber_weight(n, k, colsums):
+    """Sum of the staircase weights of the (k+1) x n staircase matrices
+    with the given column sums, by a dynamic program over the columns.
 
-    Rows may outnumber columns; entry (i, j) with i > j is structurally
-    zero.  These index the summation kernels, so construction stays cheap
-    and structural checks live in `validate`.
-    """
-
-    entries: tuple
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def row_sums(self):
-        return tuple(sum(row) for row in self.entries)
-
-    @property
-    def col_sums(self):
-        return tuple(sum(col) for col in zip(*self.entries))
-
-    @property
-    def nontrivial_columns(self):
-        """Number of columns containing at least one nonzero entry."""
-        return sum(1 for col in zip(*self.entries) if any(col))
-
-    @property
-    def weight(self):
-        """Staircase weight: the product over rows of (row sum)! / prod entry!."""
-        total = 1
-        for row in self.entries:
-            multinomial = factorial(sum(row))
-            for e in row:
-                if e > 1:
-                    multinomial //= factorial(e)
-            total *= multinomial
-        return total
-
-    def total(self):
-        return sum(self.row_sums)
-
-    def validate(self):
-        for i, row in enumerate(self.entries):
-            for j, value in enumerate(row):
-                if value < 0:
-                    raise ValueError("negative entry")
-                if i > j and value:
-                    raise ValueError("nonzero entry below the diagonal")
-        return self
-
-
-def quad_matrices_with_colsums(n, k, colsums):
-    """All (k+1) x n staircase matrices with the prescribed column sums.
-
-    Column j (0-based) has min(j+1, k+1) free entries; each column runs
-    through its compositions independently, columns advancing left to
-    right, so the order is deterministic.
+    A matrix with row sums R_i and entries e weighs prod R_i! / prod e!,
+    which is prod R_i! * prod_j multinomial(c_j; column j) / prod c_j!.
+    The state is the vector of partial row sums and its value the integer
+    sum of the column multinomials so far; column j splits c_j over its
+    first min(j+1, k+1) rows.  At the end each state is multiplied by
+    prod R_i!, and the total divides exactly by prod c_j!.  This sums the
+    terms of the matrix-by-matrix enumeration, never the closed form
+    `coefficients.matrix_weight`.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if len(colsums) != n:
         raise ValueError("colsums length must equal n")
     nrows = k + 1
-    cols = []
-
-    def rec(j):
-        if j == n:
-            rows = tuple(
-                tuple(cols[c][r] if r < len(cols[c]) else 0 for c in range(n))
-                for r in range(nrows)
-            )
-            yield QuadMatrix(rows)
-            return
-        for comp in compositions(colsums[j], min(j + 1, nrows)):
-            cols.append(comp)
-            yield from rec(j + 1)
-            cols.pop()
-
-    return rec(0)
-
-
-def quad_matrices_even(n, k, total):
-    """All (k+1) x n staircase matrices with even column sums adding to `total`.
-
-    Runs through column-sum vectors 2*nu with nu a composition of total/2,
-    concatenating the fixed-column-sum streams.
-    """
-    if total % 2:
-        raise ValueError("total must be even")
-    for nu in compositions(total // 2, n):
-        yield from quad_matrices_with_colsums(n, k, tuple(2 * v for v in nu))
-
-
-def fiber_weight(n, k, colsums):
-    """Sum of the staircase weights of the matrices with the given column sums.
-
-    The enumerated counterpart of the closed form `coefficients.matrix_weight`.
-    """
-    return sum(mat.weight for mat in quad_matrices_with_colsums(n, k, colsums))
+    states = {(0,) * nrows: 1}
+    for j, c in enumerate(colsums):
+        free = min(j + 1, nrows)
+        steps = []
+        for split in compositions(c, free):
+            multinomial = factorial(c)
+            for e in split:
+                multinomial //= factorial(e)
+            steps.append((split + (0,) * (nrows - free), multinomial))
+        grown = {}
+        for state, value in states.items():
+            for split, multinomial in steps:
+                key = tuple(map(add, state, split))
+                grown[key] = grown.get(key, 0) + value * multinomial
+        states = grown
+    total = 0
+    for state, value in states.items():
+        for r in state:
+            value *= factorial(r)
+        total += value
+    for c in colsums:
+        total //= factorial(c)
+    return total

@@ -117,7 +117,7 @@ def flag_moment_even(n, k, m):
 
     The monomial with even exponents 2 nu (nu adding to m/2) has as its
     coefficient the summed staircase weight of the matrices with column
-    sums 2 nu, enumerated by `fiber_weight`.  Odd m gives zero.
+    sums 2 nu, summed by `fiber_weight`.  Odd m gives zero.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")

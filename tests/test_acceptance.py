@@ -19,7 +19,7 @@ from cubeharm.coefficients import (
     route_records,
     young_weight,
 )
-from cubeharm.combinat import compositions, quad_matrices_with_colsums, young_diagrams
+from cubeharm.combinat import compositions, young_diagrams
 from cubeharm.generating import (
     bernstein_transform,
     generating_poly,
@@ -35,6 +35,7 @@ from cubeharm.harmonics import (
 from cubeharm.invariants import flag_moment, flag_moment_even, skeleton_invariant
 from cubeharm.multipoly import MultiPoly
 from cubeharm.unipoly import ONE, T, UniPoly
+from staircase import quad_matrices_with_colsums
 
 
 def _verdict(number, label, ok):

@@ -41,7 +41,7 @@ class TestCoeffCommand:
         assert exc.value.code == 2
 
     def test_all_routes_beyond_matrix_bound(self, capsys):
-        code, out, _ = run(capsys, "coeff", "--n", "6", "--m", "6", "--k", "3")
+        code, out, _ = run(capsys, "coeff", "--n", "7", "--m", "7", "--k", "4")
         assert code == 0
         routes = [line.split()[0] for line in out.splitlines()[:-1]]
         assert routes == ["partition", "young", "generating", "recursion", "extremal"]

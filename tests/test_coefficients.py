@@ -21,7 +21,8 @@ from cubeharm.coefficients import (
     route_records,
     young_weight,
 )
-from cubeharm.combinat import YoungDiagram, compositions, quad_matrices_with_colsums
+from cubeharm.combinat import YoungDiagram, compositions
+from staircase import quad_matrices_with_colsums
 
 
 def sign_weight_by_roots_of_unity(n, m, nu):
@@ -252,6 +253,19 @@ class TestRouteAgreement:
                     records = route_records(n, m, k)
                     values = {r.value for r in records}
                     assert len(values) == 1, (n, m, k, records)
+
+    def test_generating_matches_recursion(self):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    assert coeff_by_generating(n, m, k) == coeff_by_recursion(n, m, k)
+
+    @pytest.mark.large
+    def test_matrix_matches_partition_at_n6(self):
+        n = 6
+        for m in range(1, n + 1):
+            for k in range(n + 1):
+                assert coeff_by_matrix_sum(n, m, k) == coeff_by_partition_sum(n, m, k)
 
     def test_positivity_and_top_identities(self):
         table = recursion_table(5)

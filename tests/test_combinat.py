@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeharm.coefficients import matrix_weight
-from cubeharm.combinat import (
+from cubeharm.combinat import YoungDiagram, compositions, fiber_weight, young_diagrams
+from staircase import (
     QuadMatrix,
-    YoungDiagram,
-    compositions,
     count_compositions,
-    fiber_weight,
     quad_matrices_even,
     quad_matrices_with_colsums,
-    young_diagrams,
 )
 
 
@@ -139,6 +136,22 @@ class TestQuadMatrices:
                             assert type(mat.weight) is int
                             assert mat.weight == Fraction(num, den)
                         assert fiber_weight(n, k, colsums) == matrix_weight(n, k, colsums)
+
+    def test_fiber_weight_is_the_enumerated_sum(self):
+        for n in range(1, 5):
+            for k in range(n + 2):
+                for total in range(7):
+                    for colsums in compositions(total, n):
+                        value = fiber_weight(n, k, colsums)
+                        assert type(value) is int
+                        assert value == sum(
+                            mat.weight for mat in quad_matrices_with_colsums(n, k, colsums)
+                        )
+
+    def test_fiber_weight_rejects_bad_args(self):
+        for args in [(0, 1, ()), (2, -1, (0, 0)), (2, 1, (2,)), (2, 1, (2, -2))]:
+            with pytest.raises(ValueError):
+                fiber_weight(*args)
 
     def test_validate_catches_bad_matrix(self):
         with pytest.raises(ValueError):

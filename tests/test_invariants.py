@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from cubeharm.combinat import compositions, quad_matrices_with_colsums
+from cubeharm.combinat import compositions
 from cubeharm.invariants import (
     complete_homogeneous,
     elementary_symmetric_squares,
@@ -16,6 +16,7 @@ from cubeharm.invariants import (
     suffix_sums,
 )
 from cubeharm.multipoly import MultiPoly
+from staircase import quad_matrices_with_colsums
 
 
 def brute_factorial_ratio(mat):

@@ -233,7 +233,9 @@ def _c63_factor(n, m, k):
     return Fraction((n - k) * (n - k - 1) * m, n * (m - 1))
 
 
-@lru_cache(maxsize=None)
+_CELLS = {}  # (n, m, k) -> value, shared by every descent
+
+
 def _cell(n, m, k):
     """Coefficient from closed forms plus the recursion, descending in k.
 
@@ -241,16 +243,31 @@ def _cell(n, m, k):
     rearranging the recursion at (n+1, m+1): the relation for skeleton
     dimension k-1 there expresses this cell through already-known ones.
     The k index strictly decreases, so the descent terminates at the
-    closed forms.
+    closed forms.  The descent keeps its own stack of pending cells, so
+    its depth is not bounded by Python's recursion limit.
     """
-    value = closed_form(n, m, k)
-    if value is not None:
-        return value
-    q = k - 1
-    big_n, big_m = n + 1, m + 1
-    factor = _c63_factor(big_n, big_m, q)
-    delta = _cell(big_n, big_m, q) - _cell(big_n, big_m, q - 1)
-    return ((2 * big_m + q - 1) * _cell(n, m, q) - delta / factor) / (q + 1)
+    stack = [(n, m, k)]
+    while stack:
+        cell = stack[-1]
+        if cell in _CELLS:
+            stack.pop()
+            continue
+        cn, cm, ck = cell
+        value = closed_form(cn, cm, ck)
+        if value is None:
+            q = ck - 1
+            big_n, big_m = cn + 1, cm + 1
+            deps = ((big_n, big_m, q), (big_n, big_m, q - 1), (cn, cm, q))
+            missing = [d for d in deps if d not in _CELLS]
+            if missing:
+                stack.extend(missing)
+                continue
+            upper, lower, same = (_CELLS[d] for d in deps)
+            factor = _c63_factor(big_n, big_m, q)
+            value = ((2 * big_m + q - 1) * same - (upper - lower) / factor) / (q + 1)
+        _CELLS[cell] = value
+        stack.pop()
+    return _CELLS[(n, m, k)]
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Exact verification of the mean value property on cube skeletons.
 
 The averaging operator is evaluated symbolically: the scale of the
-averaging window stays a formal variable r, faces contribute closed-form
-monomial integrals (odd powers vanish, even powers give 2/(power+1)), and
-the mean value property becomes a polynomial identity in (x, r).  The
+averaging window stays a formal variable r, and no face is visited.
+By the moment formula the k-skeleton average of y**b is zero unless
+every b_i is even, and is then e_k(1/(b_1+1), ..., 1/(b_n+1)) / C(n, k),
+so the mean value property becomes a polynomial identity in (x, r).  The
 module also computes the dimension of the span of all partial
 derivatives of the fundamental alternating polynomial, and checks that
 the skeleton invariants annihilate it as differential operators.
@@ -11,7 +12,6 @@ the skeleton invariants annihilate it as differential operators.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, factorial
 
 from .invariants import fundamental_alternating, skeleton_invariant
@@ -19,8 +19,6 @@ from .linalg import RowBasis
 from .multipoly import MultiPoly, grlex_key
 
 __all__ = [
-    "CubeFace",
-    "cube_faces",
     "skeleton_average",
     "MvpReport",
     "mean_value_report",
@@ -36,82 +34,43 @@ __all__ = [
 DIMENSION_GUARD = 3  # derivative-module work beyond this needs an explicit opt-in
 
 
-@dataclass(frozen=True)
-class CubeFace:
-    """One k-face of the cube [-1, 1]**n.
-
-    `free` lists the coordinates that run over [-1, 1]; every other
-    coordinate is pinned to +1 or -1 by `fixed`.
-    """
-
-    n: int
-    free: tuple
-    fixed: tuple  # ((index, sign), ...) sorted by index
-
-    def __post_init__(self):
-        if len(self.free) + len(self.fixed) != self.n:
-            raise ValueError("free and fixed coordinates must partition the axes")
-
-
-def cube_faces(n, k):
-    """All k-faces of the n-cube: choose k free axes, sign the rest."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    for free in combinations(range(n), k):
-        rest = [i for i in range(n) if i not in free]
-        for signs in product((1, -1), repeat=n - k):
-            yield CubeFace(n, free, tuple(zip(rest, signs)))
-
-
-def _shift_factor(exponent, r_weight_pairs):
-    """Expansion of (x + r*y)**exponent after the y-average on one axis.
-
-    `r_weight_pairs` maps the y-power j to its averaged weight; pairs with
-    weight zero are omitted.  Returns [(x_power, r_power, weight), ...].
-    """
-    out = []
-    for j, w in r_weight_pairs:
-        out.append((exponent - j, j, w * comb(exponent, j)))
-    return out
-
-
 def skeleton_average(f, n, k):
     """Average of f(x + r y) over the k-skeleton, as a polynomial in (x, r).
 
-    Every face is integrated exactly: a free coordinate with even
-    y-power a contributes 2/(a+1) and kills odd powers, a fixed
-    coordinate substitutes its sign.  The result has n + 1 variables,
-    the averaging scale r being last.
+    Each term c x**a is expanded binomially on every axis.  The skeleton
+    average of y**b is zero unless every b_i is even, and is then
+    e_k(1/(b_1+1), ..., 1/(b_n+1)) / C(n, k).  Since
+    C(a, b)/(b+1) = C(a+1, b+1)/(a+1), the coefficient of
+    x**(a-b) r**|b| is c / (C(n, k) prod(a_i+1)) times the integer
+    [w**(n-k)] prod_i C(a_i+1, b_i+1) (1 + (b_i+1) w).  The result has
+    n + 1 variables, the averaging scale r being last.
     """
     if f.nvars != n:
         raise ValueError("polynomial variable count must equal n")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     total = {}
-    for face in cube_faces(n, k):
-        fixed_sign = dict(face.fixed)
-        for exps, coeff in f.terms.items():
-            # partial products over axes: (x exponents so far, r power) -> weight
-            partial = {((), 0): coeff}
-            for i, a in enumerate(exps):
-                if i in fixed_sign:
-                    sign = fixed_sign[i]
-                    pairs = [(j, Fraction(sign ** j)) for j in range(a + 1)]
-                else:
-                    pairs = [(j, Fraction(2, j + 1)) for j in range(0, a + 1, 2)]
-                factors = _shift_factor(a, pairs)
-                nxt = {}
-                for (xp, rp), w in partial.items():
-                    for xe, re, fw in factors:
-                        key = (xp + (xe,), rp + re)
-                        nxt[key] = nxt.get(key, Fraction(0)) + w * fw
-                partial = nxt
-            for (xp, rp), w in partial.items():
-                if w:
-                    key = xp + (rp,)
-                    total[key] = total.get(key, Fraction(0)) + w
-    norm = Fraction(1, comb(n, k) * 2 ** n)
-    return MultiPoly(n + 1, {e: c * norm for e, c in total.items()})
+    for exps, coeff in f.terms.items():
+        # one entry per even b so far: (x exponents, r power, integer
+        # polynomial in w truncated above w**(n-k))
+        partial = [((), 0, [1] + [0] * (n - k))]
+        scale = comb(n, k)
+        for a in exps:
+            scale *= a + 1
+            nxt = []
+            for xp, rp, poly in partial:
+                for b in range(0, a + 1, 2):
+                    binom = comb(a + 1, b + 1)
+                    lifted = [binom * c for c in poly]
+                    for j in range(n - k, 0, -1):
+                        lifted[j] += (b + 1) * lifted[j - 1]
+                    nxt.append((xp + (a - b,), rp + b, lifted))
+            partial = nxt
+        scale = coeff / scale
+        for xp, rp, poly in partial:
+            key = xp + (rp,)
+            total[key] = total.get(key, 0) + scale * poly[n - k]
+    return MultiPoly(n + 1, total)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import cmath
+import inspect
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
 
+from cubeharm import coefficients
 from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import (
     closed_form,
@@ -226,6 +229,18 @@ class TestRecursionTable:
                     ) / (k + 1)
                     assert table[(n - 1, m - 1, k + 1)] == recovered
 
+
+    def test_deep_descent_needs_no_recursion(self, monkeypatch):
+        # the descent from (200, 1, 100) passes through 100 values of k;
+        # it must finish under a recursion limit far below that depth
+        monkeypatch.setattr(coefficients, "_CELLS", {})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            value = coefficients._cell(200, 1, 100)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == coeff_by_generating(200, 1, 100)
 
 class TestRouteIndependence:
     @staticmethod

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubeharm.harmonics import (
     annihilates_alternating,
     apply_as_operator,
-    cube_faces,
     harmonic_basis,
     harmonic_basis_report,
     harmonic_module_dimension,
@@ -17,6 +16,7 @@ from cubeharm.harmonics import (
 )
 from cubeharm.invariants import fundamental_alternating, skeleton_invariant
 from cubeharm.multipoly import MultiPoly
+from faces import cube_faces, face_walk_average
 
 
 def small_polys(nvars=2):
@@ -80,6 +80,46 @@ class TestSkeletonAverage:
         assert avg.total_degree() <= f.total_degree()
 
 
+@st.composite
+def rational_polys_with_skeleton(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*(st.integers(0, 5) for _ in range(n)))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    f = MultiPoly(n, draw(st.dictionaries(exps, coeff, max_size=4)))
+    return f, n, draw(st.integers(0, n))
+
+
+class TestMomentFormulaMatchesFaceWalk:
+    @staticmethod
+    def assert_same(f, n, k):
+        assert skeleton_average(f, n, k).to_obj() == face_walk_average(f, n, k).to_obj()
+
+    def test_alternating_up_to_four(self):
+        for n in range(1, 5):
+            delta = fundamental_alternating(n)
+            for k in range(n + 1):
+                self.assert_same(delta, n, k)
+
+    def test_every_module_element_up_to_three(self):
+        for n in range(1, 4):
+            for layer in harmonic_basis(n):
+                for element in layer:
+                    for k in range(n + 1):
+                        self.assert_same(element, n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys_with_skeleton())
+    def test_random_rational_polynomials(self, case):
+        self.assert_same(*case)
+
+    def test_errors_are_kept(self):
+        f = MultiPoly.monomial((2, 1))
+        with pytest.raises(ValueError, match="variable count"):
+            skeleton_average(f, 3, 1)
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="0 <= k <= n"):
+                skeleton_average(f, 2, k)
+
 class TestMeanValue:
     def test_alternating_passes(self):
         rep = mean_value_report(fundamental_alternating(2), 2, 1)
@@ -100,6 +140,11 @@ class TestMeanValue:
         witness = MultiPoly.monomial((2, 2))
         assert not mean_value_report(witness, 2, 0).holds
 
+
+    def test_alternating_passes_in_five_dimensions(self):
+        d5 = fundamental_alternating(5)
+        for k in range(6):
+            assert mean_value_report(d5, 5, k).holds
 
 class TestDerivativeModule:
     def test_dimensions(self):
@@ -146,6 +191,18 @@ class TestFourDimensionalOptIn:
         for k in range(5):
             assert mean_value_report(d4, 4, k).holds
 
+
+    def test_basis_report(self):
+        rep = harmonic_basis_report(4, allow_large=True)
+        assert rep.dimension == 384
+        assert rep.all_ok
+
+
+@pytest.mark.large
+class TestSixDimensionalOptIn:
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_alternating_mean_value(self, k):
+        assert mean_value_report(fundamental_alternating(6), 6, k).holds
 
 class TestBasisReport:
     def test_two_dimensional_suite(self):

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Run the full verification battery through the CLI and summarize.
 
-Exits nonzero if any verification fails.  The battery runs 29 commands,
-among them the n = 4 derivative module (about 0.2 s) and the mean value
-property of the alternating polynomial at every k for n <= 5 (about
-0.9 s together, 0.12-0.15 s per k at n = 5).  The route sweep at the
-default --n-max 6 is the slow part: about 23 s, nearly all of it the
-matrix route's fiber sums at n = 6.  The whole battery takes about 25
-seconds with Python 3.11.7 on one core of a 2-core Xeon sandbox.
+Exits nonzero if any verification fails.  The battery runs 29 commands:
+the series identities, the route sweep up to --n-max (default 6, where
+the matrix route's fiber sums at n = 6 are the slow part), the
+derivative module and annihilation for n <= 3, the n = 4 derivative
+module, and the mean value property of the alternating polynomial at
+every k for n <= 5.  Each command's wall time is printed after its
+output, and the battery's total at the end.
 """
 
 import argparse
 import sys
+from time import perf_counter
 
 from cubeharm.cli import main as cli_main
 
@@ -35,13 +36,17 @@ def main():
             batches.append(["verify", "mvp", "--n", str(n), "--k", str(k), "--delta"])
 
     failures = 0
+    start = perf_counter()
     for argv in batches:
         print(f"$ cubeharm {' '.join(argv)}")
+        began = perf_counter()
         code = cli_main(argv)
         if code != 0:
             failures += 1
+        print(f"({perf_counter() - began:.2f} s)")
         print()
-    print(f"{len(batches)} verification commands, {failures} failed")
+    total = perf_counter() - start
+    print(f"{len(batches)} verification commands, {failures} failed, {total:.1f} s in all")
     return 1 if failures else 0
 
 

@@ -1,5 +1,11 @@
 """Command-line front end: coefficient tables, polynomial dumps, verifiers.
 
+Every handler is a function of the parsed arguments that returns
+`(text, exit_code)`: data commands render through `_render` (`--format`
+picks JSON, CSV or text), `verify` commands through `_report` (ok/FAIL
+lines and a `SUMMARY` line).  Then `main` alone writes the text to stdout
+or `--out`, so a command that fails writes neither.
+
 Exit codes: 0 success (all verifications passed), 1 a verification
 failed, 2 usage or domain error.  Machine formats render rationals as
 "p/q" strings, never as decimals; the text format may append a clearly
@@ -9,9 +15,11 @@ bytes.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from math import factorial
 
@@ -27,85 +35,55 @@ TABLE_MAX_N = 6
 FORMATS = ("text", "csv", "json")
 
 
-class _Output:
-    def __init__(self, path):
-        self.path = path
-        self.buffer = io.StringIO()
-
-    def write(self, text):
-        self.buffer.write(text)
-
-    def line(self, text=""):
-        self.buffer.write(text + "\n")
-
-    def flush(self):
-        data = self.buffer.getvalue()
-        if self.path:
-            with open(self.path, "w") as handle:
-                handle.write(data)
-        else:
-            sys.stdout.write(data)
-
-
 def _fraction_text(value):
     if value.denominator == 1:
         return str(value)
     return f"{value} (~= {float(value):.6g})"
 
 
-def _summary(out, command, checks, failed):
-    out.line(
-        "SUMMARY "
-        + json.dumps(
-            {"command": command, "checks": checks, "failed": failed, "ok": failed == 0}
-        )
-    )
+def _render(fmt, doc, header, rows, text_lines):
+    """The output of a data command: `doc` as indented JSON, `header` and
+    `rows` as CSV, or `text_lines` as text."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return sink.getvalue()
+    return "".join(line + "\n" for line in text_lines)
 
 
-def _csv_text(header, rows):
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return sink.getvalue()
+def _report(command, checks):
+    """The output and exit code of a verify command from its `(ok, line)`
+    checks: each line marked ok or FAIL, then the SUMMARY line."""
+    lines = []
+    failed = 0
+    for ok, line in checks:
+        lines.append(("ok   " if ok else "FAIL ") + line + "\n")
+        failed += not ok
+    summary = {"command": command, "checks": len(lines), "failed": failed, "ok": failed == 0}
+    lines.append("SUMMARY " + json.dumps(summary) + "\n")
+    return "".join(lines), 0 if failed == 0 else 1
 
 
-def cmd_coeff(args, out):
+def cmd_coeff(args):
     n, m, k = args.n, args.m, args.k
     coeff_records = (
         coeff.route_records(n, m, k)
         if args.route == "all"
         else [coeff.coefficient_record(n, m, k, args.route)]
     )
-    values = {r.value for r in coeff_records}
-    agree = len(values) == 1
-    if args.fmt == "json":
-        out.line(
-            json.dumps(
-                {
-                    "n": n,
-                    "m": m,
-                    "k": k,
-                    "records": [{"route": r.route, "value": str(r.value)} for r in coeff_records],
-                    "agree": agree,
-                },
-                indent=2,
-            )
-        )
-    elif args.fmt == "csv":
-        out.write(
-            _csv_text(
-                ["route", "n", "m", "k", "value"],
-                [[r.route, r.n, r.m, r.k, str(r.value)] for r in coeff_records],
-            )
-        )
-    else:
-        for r in coeff_records:
-            out.line(f"{r.route:<12} {_fraction_text(r.value)}")
-        if len(coeff_records) > 1:
-            verdict = "agree" if agree else "DISAGREE"
-            out.line(f"routes {verdict}")
-    return 0 if agree else 1
+    agree = len({r.value for r in coeff_records}) == 1
+    text_lines = [f"{r.route:<12} {_fraction_text(r.value)}" for r in coeff_records]
+    if len(coeff_records) > 1:
+        text_lines.append("routes agree" if agree else "routes DISAGREE")
+    records = [{"route": r.route, "value": str(r.value)} for r in coeff_records]
+    doc = {"n": n, "m": m, "k": k, "records": records, "agree": agree}
+    rows = [[r.route, r.n, r.m, r.k, str(r.value)] for r in coeff_records]
+    text = _render(args.fmt, doc, ["route", "n", "m", "k", "value"], rows, text_lines)
+    return text, 0 if agree else 1
 
 
 def _grid(n_max):
@@ -135,85 +113,50 @@ def emit_table(n_max, fmt):
         records.append(
             {"n": n, "m": m, "k": k, "value": str(consensus), "routesAgreeing": agreeing}
         )
-    if fmt == "json":
-        return json.dumps({"nMax": n_max, "records": records}, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text(
-            ["n", "m", "k", "value", "routesAgreeing"],
-            [
-                [r["n"], r["m"], r["k"], r["value"], " ".join(r["routesAgreeing"])]
-                for r in records
-            ],
-        )
-    lines = [f"{'n':>3} {'m':>3} {'k':>3}  {'value':<12} routes"]
-    for r in records:
-        lines.append(
-            f"{r['n']:>3} {r['m']:>3} {r['k']:>3}  {r['value']:<12} "
-            + ",".join(r["routesAgreeing"])
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        [r["n"], r["m"], r["k"], r["value"], " ".join(r["routesAgreeing"])]
+        for r in records
+    ]
+    text_lines = [f"{'n':>3} {'m':>3} {'k':>3}  {'value':<12} routes"] + [
+        f"{r['n']:>3} {r['m']:>3} {r['k']:>3}  {r['value']:<12} " + ",".join(r["routesAgreeing"])
+        for r in records
+    ]
+    header = ["n", "m", "k", "value", "routesAgreeing"]
+    return _render(fmt, {"nMax": n_max, "records": records}, header, rows, text_lines)
 
 
-def cmd_table(args, out):
-    out.write(emit_table(args.n, args.fmt))
-    return 0
+def cmd_table(args):
+    return emit_table(args.n, args.fmt), 0
 
 
-def cmd_gen(args, out):
+def cmd_gen(args):
     n = args.n if args.n else args.m
-    if args.what == "Ghat":
-        poly = gen.reversed_generating_poly(n, args.m)
-    elif args.what == "F":
-        poly = gen.bernstein_transform(n, args.m)
-    else:
-        poly = gen.lifted_generating_poly(n, args.m)
-    if args.fmt == "json":
-        out.line(
-            json.dumps(
-                {
-                    "what": args.what,
-                    "m": args.m,
-                    "n": n,
-                    "coefficients": poly.to_strings(),
-                },
-                indent=2,
-            )
-        )
-    elif args.fmt == "csv":
-        out.write(
-            _csv_text(
-                ["power", "coefficient"],
-                [[i, s] for i, s in enumerate(poly.to_strings())],
-            )
-        )
-    else:
-        out.line(poly.pretty())
-    return 0
+    poly = {
+        "G": gen.lifted_generating_poly,
+        "Ghat": gen.reversed_generating_poly,
+        "F": gen.bernstein_transform,
+    }[args.what](n, args.m)
+    strings = poly.to_strings()
+    doc = {"what": args.what, "m": args.m, "n": n, "coefficients": strings}
+    header = ["power", "coefficient"]
+    return _render(args.fmt, doc, header, enumerate(strings), [poly.pretty()]), 0
 
 
-def cmd_bernoulli(args, out):
+def cmd_bernoulli(args):
     if args.count < 1:
         raise ValueError("need --count >= 1")
     rows = [
         [m, str(bernoulli(m)), str(scaled_bernoulli(m))]
         for m in range(1, args.count + 1)
     ]
-    if args.fmt == "json":
-        out.line(
-            json.dumps(
-                {"rows": [{"m": m, "B": b, "b": s} for m, b, s in rows]}, indent=2
-            )
-        )
-    elif args.fmt == "csv":
-        out.write(_csv_text(["m", "B", "b"], rows))
-    else:
-        out.line(f"{'m':>3} {'B_m':<16} {'b_m':<16}")
-        for m, b, s in rows:
-            out.line(f"{m:>3} {b:<16} {s:<16}")
-    return 0
+    doc = {"rows": [{"m": m, "B": b, "b": s} for m, b, s in rows]}
+    text_lines = [f"{'m':>3} {'B_m':<16} {'b_m':<16}"] + [
+        f"{m:>3} {b:<16} {s:<16}" for m, b, s in rows
+    ]
+    return _render(args.fmt, doc, ["m", "B", "b"], rows, text_lines), 0
 
 
-def cmd_invariant(args, out):
+def cmd_invariant(args):
     what, n = args.what, args.n
     if what == "delta":
         poly = invariants.fundamental_alternating(n)
@@ -225,33 +168,20 @@ def cmd_invariant(args, out):
         poly = invariants.flag_moment_even(n, args.k, args.m)
     else:
         poly = invariants.skeleton_invariant(n, args.k, args.m)
-    if args.fmt == "json":
-        out.line(
-            json.dumps({"what": what, "variables": n, "terms": poly.to_obj()}, indent=2)
-        )
-    elif args.fmt == "csv":
-        out.write(
-            _csv_text(
-                ["exponents", "coefficient"],
-                [[" ".join(map(str, e)), c] for e, c in poly.to_obj()],
-            )
-        )
-    else:
-        out.line(poly.pretty())
-    return 0
+    terms = poly.to_obj()
+    doc = {"what": what, "variables": n, "terms": terms}
+    rows = [[" ".join(map(str, e)), c] for e, c in terms]
+    return _render(args.fmt, doc, ["exponents", "coefficient"], rows, [poly.pretty()]), 0
 
 
-def cmd_verify_identities(args, out):
-    report = gen.identity_report(args.order)
-    failed = 0
-    for check in report.checks:
-        if check.ok:
-            out.line(f"ok   {check.name}")
-        else:
-            failed += 1
-            out.line(f"FAIL {check.name}: {check.detail}")
-    _summary(out, "verify identities", len(report.checks), failed)
-    return 0 if failed == 0 else 1
+def cmd_verify_identities(args):
+    return _report(
+        "verify identities",
+        (
+            (check.ok, check.name if check.ok else f"{check.name}: {check.detail}")
+            for check in gen.identity_report(args.order).checks
+        ),
+    )
 
 
 def _load_poly(path, n):
@@ -285,7 +215,7 @@ def _load_poly(path, n):
     return MultiPoly.from_obj(n, terms)
 
 
-def cmd_verify_mvp(args, out):
+def cmd_verify_mvp(args):
     if args.poly_file:
         f = _load_poly(args.poly_file, args.n)
         label = args.poly_file
@@ -293,72 +223,59 @@ def cmd_verify_mvp(args, out):
         f = invariants.fundamental_alternating(args.n)
         label = "alternating polynomial"
     report = harmonics.mean_value_report(f, args.n, args.k)
-    names = [f"x{i + 1}" for i in range(args.n)] + ["r"]
+    where = f"for {label} (n={args.n}, k={args.k})"
     if report.holds:
-        out.line(f"ok   mean value property holds for {label} (n={args.n}, k={args.k})")
+        line = f"mean value property holds {where}"
     else:
-        out.line(
-            f"FAIL mean value property fails for {label} (n={args.n}, k={args.k});"
-            f" residual {report.residual.pretty(names)}"
-        )
-    _summary(out, "verify mvp", 1, 0 if report.holds else 1)
-    return 0 if report.holds else 1
+        names = [f"x{i + 1}" for i in range(args.n)] + ["r"]
+        line = f"mean value property fails {where}; residual {report.residual.pretty(names)}"
+    return _report("verify mvp", [(report.holds, line)])
 
 
-def cmd_verify_dimension(args, out):
-    n = args.n
-    dim = harmonics.harmonic_module_dimension(n, allow_large=args.allow_large)
-    expected = 2 ** n * factorial(n)
-    ok = dim == expected
-    status = "ok  " if ok else "FAIL"
-    out.line(f"{status} derivative module dimension {dim} (expected {expected})")
-    _summary(out, "verify dimension", 1, 0 if ok else 1)
-    return 0 if ok else 1
+def cmd_verify_dimension(args):
+    dim = harmonics.harmonic_module_dimension(args.n, allow_large=args.allow_large)
+    expected = 2 ** args.n * factorial(args.n)
+    line = f"derivative module dimension {dim} (expected {expected})"
+    return _report("verify dimension", [(dim == expected, line)])
 
 
-def cmd_verify_annihilation(args, out):
+def cmd_verify_annihilation(args):
     n = args.n
     if n < 1:
         raise ValueError("need --n >= 1")
-    failed = 0
-    checks = 0
+    checks = []
     for m in range(1, n + 1):
         for k in range(n + 1):
-            checks += 1
-            if harmonics.annihilates_alternating(n, m, k):
-                out.line(f"ok   operator (m={m}, k={k}) annihilates")
-            else:
-                failed += 1
-                out.line(f"FAIL operator (m={m}, k={k}) does not annihilate")
-    _summary(out, "verify annihilation", checks, failed)
-    return 0 if failed == 0 else 1
+            ok = harmonics.annihilates_alternating(n, m, k)
+            verdict = "annihilates" if ok else "does not annihilate"
+            checks.append((ok, f"operator (m={m}, k={k}) {verdict}"))
+    return _report("verify annihilation", checks)
 
 
-def cmd_verify_routes(args, out):
-    cells = _grid(args.n_max)
-    failed = 0
-    for n, m, k in cells:
+def cmd_verify_routes(args):
+    checks = []
+    for n, m, k in _grid(args.n_max):
         records = coeff.route_records(n, m, k)
         if len({r.value for r in records}) == 1:
-            out.line(f"ok   ({n},{m},{k}) = {records[0].value}")
+            routes = ",".join(r.route for r in records)
+            checks.append((True, f"({n},{m},{k}) = {records[0].value} [{routes}]"))
         else:
-            failed += 1
             detail = ", ".join(f"{r.route}={r.value}" for r in records)
-            out.line(f"FAIL ({n},{m},{k}): {detail}")
-    _summary(out, "verify routes", len(cells), failed)
-    return 0 if failed == 0 else 1
+            checks.append((False, f"({n},{m},{k}): {detail}"))
+    return _report("verify routes", checks)
 
 
-def _add_out_arg(parser):
+def _add_output_args(parser, handler, formats=True):
+    """The options every command ends with, and the handler it runs."""
+    if formats:
+        parser.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
     parser.add_argument("--out", default="", help="write output to this file")
+    parser.set_defaults(handler=handler)
 
 
-def _add_format_args(parser):
-    parser.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-    _add_out_arg(parser)
-
-
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cubeharm",
         description="Exact computations around cube-skeleton harmonics",
@@ -370,41 +287,35 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--route", default="all", choices=["all", *coeff.ROUTES])
-    _add_format_args(p)
-    p.set_defaults(handler=cmd_coeff)
+    _add_output_args(p, cmd_coeff)
 
     p = sub.add_parser("table", help="full coefficient grid with route agreement")
     p.add_argument("--n", type=int, required=True, help="largest n in the grid")
-    _add_format_args(p)
-    p.set_defaults(handler=cmd_table)
+    _add_output_args(p, cmd_table)
 
     p = sub.add_parser("gen", help="generating polynomials")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--what", default="G", choices=["G", "Ghat", "F"])
-    _add_format_args(p)
-    p.set_defaults(handler=cmd_gen)
+    _add_output_args(p, cmd_gen)
 
     p = sub.add_parser("bernoulli", help="Bernoulli numbers, positive convention")
     p.add_argument("--count", type=int, required=True)
-    _add_format_args(p)
-    p.set_defaults(handler=cmd_bernoulli)
+    _add_output_args(p, cmd_bernoulli)
 
     p = sub.add_parser("invariant", help="invariant polynomials, canonical form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=0, help="degree (h/g/tau) or index (e)")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--what", default="tau", choices=["h", "g", "tau", "delta", "e"])
-    _add_format_args(p)
-    p.set_defaults(handler=cmd_invariant)
+    _add_output_args(p, cmd_invariant)
 
     p = sub.add_parser("verify", help="exact verification suites")
     vsub = p.add_subparsers(dest="subcommand", required=True)
 
     v = vsub.add_parser("identities", help="series identities with polynomial coefficients")
     v.add_argument("--order", type=int, default=16)
-    _add_out_arg(v)
-    v.set_defaults(handler=cmd_verify_identities)
+    _add_output_args(v, cmd_verify_identities, formats=False)
 
     v = vsub.add_parser("mvp", help="mean value property as a polynomial identity")
     v.add_argument("--n", type=int, required=True)
@@ -412,34 +323,30 @@ def build_parser():
     group = v.add_mutually_exclusive_group()
     group.add_argument("--delta", action="store_true", help="check the alternating polynomial (default)")
     group.add_argument("--f", dest="poly_file", default="", help="JSON polynomial file")
-    _add_out_arg(v)
-    v.set_defaults(handler=cmd_verify_mvp)
+    _add_output_args(v, cmd_verify_mvp, formats=False)
 
     v = vsub.add_parser("dimension", help="derivative module dimension")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--allow-large", action="store_true", help=f"permit n > {harmonics.DIMENSION_GUARD}")
-    _add_out_arg(v)
-    v.set_defaults(handler=cmd_verify_dimension)
+    _add_output_args(v, cmd_verify_dimension, formats=False)
 
     v = vsub.add_parser("annihilation", help="invariants annihilate the alternating polynomial")
     v.add_argument("--n", type=int, required=True)
-    _add_out_arg(v)
-    v.set_defaults(handler=cmd_verify_annihilation)
+    _add_output_args(v, cmd_verify_annihilation, formats=False)
 
     v = vsub.add_parser("routes", help="cross-route coefficient agreement")
     v.add_argument("--n-max", type=int, default=4)
-    _add_out_arg(v)
-    v.set_defaults(handler=cmd_verify_routes)
+    _add_output_args(v, cmd_verify_routes, formats=False)
 
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    out = _Output(args.out)
     try:
-        code = args.handler(args, out)
-        out.flush()
+        text, code = args.handler(args)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
+            sink.write(text)
     except (ValueError, OSError, invariants.TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,18 +26,26 @@ def compositions(total, parts):
     """
     if total < 0 or parts < 1:
         raise ValueError("need total >= 0 and parts >= 1")
-    buf = [0] * parts
+    buf = [total] + [0] * (parts - 1)
+    last = parts - 1
 
-    def rec(i, remaining):
-        if i == parts - 1:
-            buf[i] = remaining
+    def steps():
+        # In place: the rightmost nonzero entry i among the first parts - 1
+        # gives one unit to its right-hand neighbour, which absorbs the tail.
+        i = -1
+        while True:
             yield tuple(buf)
-            return
-        for v in range(remaining, -1, -1):
-            buf[i] = v
-            yield from rec(i + 1, remaining - v)
+            i = min(i + 1, last - 1)
+            while i >= 0 and buf[i] == 0:
+                i -= 1
+            if i < 0:
+                return
+            tail = buf[last]
+            buf[last] = 0
+            buf[i] -= 1
+            buf[i + 1] = tail + 1
 
-    return rec(0, total)
+    return steps()
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -36,6 +37,19 @@ class TestCompositions:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             list(compositions(2, 0))
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    @pytest.mark.parametrize("total", range(7))
+    def test_order_is_lexicographically_descending(self, total, parts):
+        brute = [
+            c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total
+        ]
+        assert list(compositions(total, parts)) == sorted(brute, reverse=True)
+
+    def test_many_parts_without_recursion(self):
+        items = list(compositions(1, 1200))
+        assert len(items) == 1200
+        assert items[0][0] == 1 and items[-1][-1] == 1
 
 
 class TestYoungDiagrams:

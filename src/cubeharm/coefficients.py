@@ -7,8 +7,10 @@ Routes implemented here:
   matrix      signed sum over ordered partitions nu, each column-sum fiber
               of staircase matrices summed column by column (n <= 6 in
               the sweep)
-  partition   the same signed sum, each fiber by its closed form
-  young       generating polynomial assembled over Young diagrams
+  partition   the same signed sum with each fiber by its closed form, as an
+              integer dynamic program over the positions of nu
+  young       generating polynomial assembled over Young diagrams, summed
+              per diagram length and lifted once per length
   generating  generating polynomial from the Bernoulli recursion
   recursion   table filled by the coefficient recursion, seeded by the
               closed forms at extreme skeleton dimensions
@@ -22,13 +24,13 @@ cell.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import generating
 from .bernoulli import scaled_bernoulli
 from .combinat import compositions, fiber_weight, young_diagrams
 from .invariants import expand_in_elementary_basis
-from .unipoly import ONE, T, UniPoly
+from .unipoly import UniPoly, binomial_poly
 
 __all__ = [
     "CoefficientRecord",
@@ -82,8 +84,21 @@ def partition_sign_weight(n, m, nu):
         raise ValueError("expected nonnegative entries summing to m")
     if m < 1:
         raise ValueError("need m >= 1")
-    ell = sum(1 for v in nu if v)
+    return _sign_weight(n, m, sum(1 for v in nu if v))
+
+
+def _sign_weight(n, m, ell):
     return m * (-1) ** (ell - 1) * factorial(ell - 1) * factorial(n - ell)
+
+
+def _column_den(j, k, c, partial):
+    """Column j's denominator in the staircase closed form.
+
+    Column j (1-based) with sum c and partial column sum `partial` up to
+    and including it contributes 1 / (c! * (partial + j)) while j <= k,
+    and 1 / c! after that.
+    """
+    return factorial(c) * (partial + j) if j <= k else factorial(c)
 
 
 def matrix_weight(n, k, nu):
@@ -97,11 +112,12 @@ def matrix_weight(n, k, nu):
     if any(v < 0 for v in nu):
         raise ValueError("column sums must be nonnegative")
     den = 1
-    for j in range(1, k + 1):
-        den *= sum(nu[:j]) + j
-    for v in nu:
-        den *= factorial(v)
-    return Fraction(factorial(sum(nu) + k), den)
+    partial = 0
+    # Columns past the n-th are empty; they still count while j <= k.
+    for j, v in enumerate(tuple(nu) + (0,) * (k - n), 1):
+        partial += v
+        den *= _column_den(j, k, v, partial)
+    return Fraction(factorial(partial + k), den)
 
 
 def young_weight(k, mu):
@@ -117,30 +133,55 @@ def young_weight(k, mu):
     return Fraction(1, den)
 
 
-def _signed_fiber_sum(n, m, k, fiber):
-    """The signed sum over ordered partitions nu of m into n parts.
+def coeff_by_matrix_sum(n, m, k):
+    """Signed sum over staircase matrices, each fiber summed column by column.
 
-    Returns (-1)**(m-1)/n! * sum of partition_sign_weight(n, m, nu) *
-    fiber(n, k, 2 nu).  The staircase matrices with column sums 2 nu form
-    one fiber; the two sum routes differ only in how `fiber` weighs it.
+    The value is (-1)**(m-1)/n! times the sum, over the ordered partitions
+    nu of m into n parts, of partition_sign_weight(n, m, nu) times the
+    staircase weight of the fiber with column sums 2 nu.
     """
+    _validate(n, m, k)
     total = sum(
-        partition_sign_weight(n, m, nu) * fiber(n, k, tuple(2 * v for v in nu))
+        partition_sign_weight(n, m, nu) * fiber_weight(n, k, tuple(2 * v for v in nu))
         for nu in compositions(m, n)
     )
     return Fraction((-1) ** (m - 1) * total, factorial(n))
 
 
-def coeff_by_matrix_sum(n, m, k):
-    """Signed sum over staircase matrices, each fiber summed column by column."""
-    _validate(n, m, k)
-    return _signed_fiber_sum(n, m, k, fiber_weight)
-
-
 def coeff_by_partition_sum(n, m, k):
-    """The matrix sum with each column-sum fiber weighed by its closed form."""
+    """The matrix route's signed sum with each fiber weighed by its closed form.
+
+    A dynamic program over the positions j = 1..n replaces the loop over
+    the ordered partitions nu.  Its state is the partial sum S_j and the
+    number l of nonzero parts so far, and each step divides by the column
+    denominator of `matrix_weight` at column sum 2 nu_j and partial sum
+    2 S_j.  The values stay integers: step j scales them all by the lcm of
+    its possible column denominators, so each division becomes an exact
+    integer multiplier.  The sign weight depends on nu only through l, so
+    it is applied per l at the end, together with (2m+k)!/n!.
+    """
     _validate(n, m, k)
-    return _signed_fiber_sum(n, m, k, matrix_weight)
+    states = {(0, 0): 1}
+    scale = 1
+    for j in range(1, n + 1):
+        dens = {
+            (v, s): _column_den(j, k, 2 * v, 2 * s) for s in range(m + 1) for v in range(s + 1)
+        }
+        step = lcm(*dens.values())
+        scale *= step
+        factor = {vs: step // den for vs, den in dens.items()}
+        grown = {}
+        for (partial, ell), value in states.items():
+            for v in range(m - partial + 1):
+                key = (partial + v, ell + (v > 0))
+                grown[key] = grown.get(key, 0) + value * factor[v, partial + v]
+        states = grown
+    total = sum(
+        _sign_weight(n, m, ell) * value
+        for (partial, ell), value in states.items()
+        if partial == m
+    )
+    return Fraction((-1) ** (m - 1) * total * factorial(2 * m + k), scale * factorial(n))
 
 
 @lru_cache(maxsize=None)
@@ -150,19 +191,23 @@ def young_generating_poly(n, m):
     Each diagram of length l with part multiplicities r_1..r_m contributes
     (-1)**(l-1) (l-1)! young_weight(l, lambda) times (t+1)**(n - l) times
     the product over parts j of ((2j+1) t + 1)**r_j; the lift
-    (t+1)**(n-l) is what makes the result a polynomial.
+    (t+1)**(n-l) is what makes the result a polynomial.  The diagrams of
+    each length are summed first, so each length is lifted once.
     """
     if not n >= m >= 1:
         raise ValueError("need n >= m >= 1")
-    one_plus_t = ONE + T
-    total = UniPoly()
+    by_length = {}
     for lam in young_diagrams(m, m):
         ell = lam.length
         weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, lam)
-        term = one_plus_t ** (n - ell)
-        for part, count in lam.multiplicities().items():
-            term = term * UniPoly((1, 2 * part + 1)) ** count
-        total = total + weight * term
+        product = [1]
+        for part in lam.parts:
+            # product *= (2 part + 1) t + 1, in integers
+            product = [a + (2 * part + 1) * b for a, b in zip(product + [0], [0] + product)]
+        by_length[ell] = by_length.get(ell, UniPoly()) + weight * UniPoly(product)
+    total = UniPoly()
+    for ell, poly in by_length.items():
+        total = total + poly * binomial_poly(n - ell)
     return Fraction((-1) ** (m - 1) * m) * total
 
 

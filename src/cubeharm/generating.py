@@ -16,7 +16,7 @@ from math import factorial
 
 from .bernoulli import coth_series, scaled_bernoulli, tanh_series
 from .series import POLYNOMIALS, TruncatedSeries, series_log
-from .unipoly import ONE, T, UniPoly
+from .unipoly import ONE, T, UniPoly, binomial_poly
 
 __all__ = [
     "generating_poly",
@@ -32,9 +32,6 @@ __all__ = [
     "identity_report",
 ]
 
-ONE_PLUS_T = ONE + T
-
-
 @lru_cache(maxsize=None)
 def generating_poly(m):
     """Degree-m member of the base family, via the Bernoulli recursion.
@@ -48,10 +45,10 @@ def generating_poly(m):
         raise ValueError("need m >= 1")
     if m == 1:
         return UniPoly((Fraction(1, 6), Fraction(1, 2)))
-    poly = scaled_bernoulli(m) * ONE_PLUS_T ** (m - 1)
+    poly = scaled_bernoulli(m) * binomial_poly(m - 1)
     acc = UniPoly()
     for i in range(1, m):
-        acc = acc + scaled_bernoulli(m - i) * ONE_PLUS_T ** (m - i - 1) * generating_poly(i)
+        acc = acc + scaled_bernoulli(m - i) * binomial_poly(m - i - 1) * generating_poly(i)
     return poly + 2 * T * acc
 
 
@@ -59,7 +56,7 @@ def lifted_generating_poly(n, m):
     """(t+1)**(n-m) times the base polynomial; defined for n >= m >= 1."""
     if not n >= m >= 1:
         raise ValueError("need n >= m >= 1")
-    return ONE_PLUS_T ** (n - m) * generating_poly(m)
+    return binomial_poly(n - m) * generating_poly(m)
 
 
 def generating_poly_from_provider(n, m, provider):
@@ -200,14 +197,14 @@ def _check_cleared_product(order):
     zcoth = _lift(coth_series(order), order)
     lhs_sum = [UniPoly()] * (order + 1)
     for m in range(1, M + 1):
-        lhs_sum[2 * m] = (-1) ** (m - 1) * generating_poly(m) * ONE_PLUS_T ** (M - m)
+        lhs_sum[2 * m] = (-1) ** (m - 1) * generating_poly(m) * binomial_poly(M - m)
     two_t_zcoth_plus_2 = zcoth.scale(2 * T) + _poly_series(
         [UniPoly.constant(2)], order
     )
     lhs = _poly_series(lhs_sum, order) * two_t_zcoth_plus_2
 
     rhs_core = zcoth + _poly_series([-ONE, UniPoly(), T], order)
-    rhs = rhs_core.scale(ONE_PLUS_T ** M)
+    rhs = rhs_core.scale(binomial_poly(M))
     ok = lhs == rhs
     return IdentityCheck("cleared-product", ok, "" if ok else _first_mismatch(lhs, rhs))
 

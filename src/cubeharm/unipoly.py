@@ -6,8 +6,9 @@ coefficient tuple and degree -1.
 """
 
 from fractions import Fraction
+from math import comb, lcm
 
-__all__ = ["UniPoly", "T", "ONE"]
+__all__ = ["UniPoly", "T", "ONE", "binomial_poly"]
 
 
 def _coerce(value):
@@ -16,6 +17,12 @@ def _coerce(value):
     if isinstance(value, int):
         return Fraction(value)
     return None
+
+
+def _numerators(coeffs):
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class UniPoly:
@@ -95,15 +102,18 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
+            # Convolve integer numerators; one Fraction per output coefficient.
             if not self.coeffs or not other.coeffs:
                 return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
+            a, da = _numerators(self.coeffs)
+            b, db = _numerators(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            den = da * db
+            return UniPoly(tuple(Fraction(c, den) for c in out))
         c = _coerce(other)
         if c is None:
             return NotImplemented
@@ -171,6 +181,13 @@ class UniPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def binomial_poly(d):
+    """(t+1)**d, read off the binomial row C(d, 0), ..., C(d, d)."""
+    if d < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    return UniPoly(comb(d, i) for i in range(d + 1))
 
 
 T = UniPoly((0, 1))

@@ -102,7 +102,14 @@ def test_verify_routes_runs_the_matrix_route_at_six(capsys):
 
 
 def test_partition_route_with_many_parts(capsys):
-    argv = ["coeff", "--n", "1200", "--m", "1", "--k", "2", "--route", "partition"]
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and err == ""
-    assert out == "partition    899/150 (~= 5.99333)\n"
+    """Fast routes far beyond the sweep: many parts, or many compositions."""
+    cases = [
+        ("1200", "1", "2", "partition", "899/150 (~= 5.99333)"),
+        ("1200", "1", "2", "young", "899/150 (~= 5.99333)"),
+        ("24", "12", "6", "partition", "419481328278794344421392384/1771 (~= 2.36861e+23)"),
+    ]
+    for n, m, k, route, value in cases:
+        argv = ["coeff", "--n", n, "--m", m, "--k", k, "--route", route]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == f"{route:<12} {value}\n"

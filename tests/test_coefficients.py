@@ -63,6 +63,16 @@ def young_weight_by_rearrangements(k, mu):
     return total
 
 
+def partition_sum_by_compositions(n, m, k):
+    """Reference for the partition route: the signed sum over every ordered
+    partition nu of m into n parts, each fiber by `matrix_weight`."""
+    total = sum(
+        partition_sign_weight(n, m, nu) * matrix_weight(n, k, tuple(2 * v for v in nu))
+        for nu in compositions(m, n)
+    )
+    return Fraction((-1) ** (m - 1) * total, factorial(n))
+
+
 class TestPartitionSignWeight:
     def test_examples(self):
         assert partition_sign_weight(2, 2, (2, 0)) == 2
@@ -137,6 +147,19 @@ class TestRoutes:
         assert coeff_by_partition_sum(2, 1, 1) == 2
         assert coeff_by_partition_sum(3, 1, 1) == Fraction(7, 3)
         assert coeff_by_partition_sum(3, 2, 0) == 4
+
+    def test_partition_matches_composition_sum(self):
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    expected = partition_sum_by_compositions(n, m, k)
+                    assert coeff_by_partition_sum(n, m, k) == expected, (n, m, k)
+
+    def test_partition_matches_recursion(self):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    assert coeff_by_partition_sum(n, m, k) == coeff_by_recursion(n, m, k)
 
     def test_young_examples(self):
         assert [coeff_by_young_sum(2, 1, k) for k in range(3)] == [1, 2, 2]

@@ -12,8 +12,9 @@ Routes implemented here:
   young       generating polynomial assembled over Young diagrams, summed
               per diagram length and lifted once per length
   generating  generating polynomial from the Bernoulli recursion
-  recursion   table filled by the coefficient recursion, seeded by the
-              closed forms at extreme skeleton dimensions
+  recursion   table filled in one sweep by the coefficient recursion,
+              seeded by the m = 1 row's own count and the closed forms
+              at extreme skeleton dimensions
   oracle      symbolic expansion in the elementary basis (small n)
   extremal    closed forms alone, where applicable
 
@@ -227,7 +228,7 @@ def coeff_by_generating(n, m, k):
     _validate(n, m, k)
     base = generating.generating_poly(m)
     lifted = sum(base[i] * comb(n - m, n - k - i) for i in range(min(m, n - k) + 1))
-    return lifted * factorial(n - k) * factorial(2 * m + k) / factorial(n)
+    return lifted / generating._assembly_weight(n, m, k)
 
 
 def coeff_by_expansion(n, m, k):
@@ -278,83 +279,40 @@ def _c63_factor(n, m, k):
     return Fraction((n - k) * (n - k - 1) * m, n * (m - 1))
 
 
-_CELLS = {}  # (n, m, k) -> value, shared by every descent
-
-
-def _cell(n, m, k):
-    """Coefficient from closed forms plus the recursion, descending in k.
-
-    Closed forms cover k <= 1 and k >= n-3; the remaining cells follow by
-    rearranging the recursion at (n+1, m+1): the relation for skeleton
-    dimension k-1 there expresses this cell through already-known ones.
-    The k index strictly decreases, so the descent terminates at the
-    closed forms.  The descent keeps its own stack of pending cells, so
-    its depth is not bounded by Python's recursion limit.
-    """
-    stack = [(n, m, k)]
-    while stack:
-        cell = stack[-1]
-        if cell in _CELLS:
-            stack.pop()
-            continue
-        cn, cm, ck = cell
-        value = closed_form(cn, cm, ck)
-        if value is None:
-            q = ck - 1
-            big_n, big_m = cn + 1, cm + 1
-            deps = ((big_n, big_m, q), (big_n, big_m, q - 1), (cn, cm, q))
-            missing = [d for d in deps if d not in _CELLS]
-            if missing:
-                stack.extend(missing)
-                continue
-            upper, lower, same = (_CELLS[d] for d in deps)
-            factor = _c63_factor(big_n, big_m, q)
-            value = ((2 * big_m + q - 1) * same - (upper - lower) / factor) / (q + 1)
-        _CELLS[cell] = value
-        stack.pop()
-    return _CELLS[(n, m, k)]
-
-
 @lru_cache(maxsize=None)
-def recursion_table(n_max, m_max=None):
-    """Fill the whole coefficient grid through the recursion.
+def recursion_table(n_max):
+    """Fill the whole coefficient grid through the recursion, in one sweep.
 
-    Rows with m >= 2 are swept upward in k from the k = 0 closed form,
-    consuming the previously filled (n-1, m-1) column; m = 1 rows come
-    from the closed forms where those apply and from the k-descent
-    otherwise.  Cells covered both by the sweep and by a closed form are
-    cross-checked; a mismatch is an internal error.
+    The m = 1 row is counted directly: a degree-2 invariant has only
+    fibers with one column of sum 2, column j splits it over
+    min(j, k+1) rows, and averaging C(min(j, k+1) + 1, 2) over j gives
+    (k+1)(k+2)(3n-2k) / (6n).  Rows with m >= 2 take the closed forms at
+    k in {0, n-1, n} and are swept upward in k in between, consuming the
+    already filled (n-1, m-1) row.  Every cell a closed form covers is
+    cross-checked against it; a mismatch is an internal error.
     """
-    if m_max is None:
-        m_max = n_max
-    if not 1 <= m_max <= n_max:
-        raise ValueError("need 1 <= m_max <= n_max")
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     table = {}
     for n in range(1, n_max + 1):
-        for m in range(1, min(n, m_max) + 1):
-            row = {}
-            for k in (0, n - 1, n):
-                row[k] = closed_form(n, m, k)
-            if m == 1:
-                for k in range(1, n - 1):
-                    row[k] = _cell(n, 1, k)
-            else:
-                for k in range(1, n - 1):
-                    prev = table[(n - 1, m - 1)]
-                    row[k] = row[k - 1] + _c63_factor(n, m, k) * (
-                        (2 * m + k - 1) * prev[k] - (k + 1) * prev[k + 1]
+        for m in range(1, n + 1):
+            for k in range(n + 1):
+                check = closed_form(n, m, k)
+                if m == 1:
+                    value = Fraction((k + 1) * (k + 2) * (3 * n - 2 * k), 6 * n)
+                elif k in (0, n - 1, n):
+                    value = check
+                else:
+                    value = table[(n, m, k - 1)] + _c63_factor(n, m, k) * (
+                        (2 * m + k - 1) * table[(n - 1, m - 1, k)]
+                        - (k + 1) * table[(n - 1, m - 1, k + 1)]
                     )
-                    check = closed_form(n, m, k)
-                    if check is not None and check != row[k]:
-                        raise RuntimeError(
-                            f"recursion sweep disagrees with closed form at ({n},{m},{k})"
-                        )
-            table[(n, m)] = row
-    return {
-        (n, m, k): value
-        for (n, m), row in table.items()
-        for k, value in sorted(row.items())
-    }
+                if check is not None and check != value:
+                    raise RuntimeError(
+                        f"recursion sweep disagrees with closed form at ({n},{m},{k})"
+                    )
+                table[(n, m, k)] = value
+    return table
 
 
 def coeff_by_recursion(n, m, k):

@@ -59,6 +59,11 @@ def lifted_generating_poly(n, m):
     return binomial_poly(n - m) * generating_poly(m)
 
 
+def _assembly_weight(n, m, k):
+    """Weight n!/((n-k)! (2m+k)!) of the skeleton-k coefficient at t**(n-k)."""
+    return Fraction(factorial(n), factorial(n - k) * factorial(2 * m + k))
+
+
 def generating_poly_from_provider(n, m, provider):
     """Assemble the degree-n polynomial from leading coefficients.
 
@@ -68,8 +73,7 @@ def generating_poly_from_provider(n, m, provider):
     """
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        value = provider(n, m, k)
-        coeffs[n - k] = Fraction(factorial(n)) * value / (factorial(n - k) * factorial(2 * m + k))
+        coeffs[n - k] = provider(n, m, k) * _assembly_weight(n, m, k)
     return UniPoly(coeffs)
 
 
@@ -77,7 +81,7 @@ def coefficient_from_generating_poly(poly, n, m, k):
     """Invert the assembly: read the skeleton-k coefficient off t**(n-k)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return poly[n - k] * factorial(n - k) * factorial(2 * m + k) / factorial(n)
+    return poly[n - k] / _assembly_weight(n, m, k)
 
 
 def reversed_generating_poly(n, m):
@@ -219,10 +223,9 @@ def _log_argument(order):
     return _poly_series(coeffs, order)
 
 
-def _check_log_series(order):
+def _check_log_series(logs, order):
     """Logarithm of the mixed cosh/sinh series reproduces the Bernstein family."""
     M = order // 2
-    logs = series_log(_log_argument(order))
     for m in range(1, M + 1):
         expected = (-1) ** (m - 1) * Fraction(1, m) * bernstein_transform(m, m)
         actual = logs.coefficient(2 * m)
@@ -234,9 +237,8 @@ def _check_log_series(order):
     return IdentityCheck("log-series", True)
 
 
-def _check_pde(order):
+def _check_pde(logs, order):
     """The logarithm satisfies z F_z + (t - (1-t)^2 z^2) F_t = (1-t) z^2."""
-    logs = series_log(_log_argument(order))
     phi = [logs.coefficient(2 * j) for j in range(order // 2 + 1)]
     one_minus_t_sq = (ONE - T) ** 2
     for j in range(len(phi)):
@@ -270,10 +272,11 @@ def identity_report(order):
     """Run the four exact series checks at the given even truncation order."""
     if order < 4 or order % 2:
         raise ValueError("order must be an even integer >= 4")
+    logs = series_log(_log_argument(order))
     checks = (
         _check_cleared_product(order),
-        _check_log_series(order),
-        _check_pde(order),
+        _check_log_series(logs, order),
+        _check_pde(logs, order),
         _check_reflected_tanh(order),
     )
     return IdentityReport(order, checks)

@@ -1,6 +1,4 @@
 import cmath
-import inspect
-import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -228,7 +226,8 @@ class TestRecursionTable:
         assert [table[(2, 1, k)] for k in range(3)] == [1, 2, 2]
 
     def test_middle_cells_match_other_routes(self):
-        for cell in [(4, 1, 2), (5, 1, 2), (5, 1, 3), (5, 2, 2), (5, 3, 2)]:
+        cells = [(4, 1, 2), (5, 1, 2), (5, 1, 3), (12, 1, 5), (30, 1, 13), (5, 2, 2), (5, 3, 2)]
+        for cell in cells:
             assert coeff_by_recursion(*cell) == coeff_by_young_sum(*cell)
 
     def test_replay_other_directions(self):
@@ -252,18 +251,22 @@ class TestRecursionTable:
                     ) / (k + 1)
                     assert table[(n - 1, m - 1, k + 1)] == recovered
 
+    def test_cross_check_fires(self, monkeypatch):
+        real = coefficients.closed_form
+        for cell in [(5, 1, 1), (5, 2, 3)]:
 
-    def test_deep_descent_needs_no_recursion(self, monkeypatch):
-        # the descent from (200, 1, 100) passes through 100 values of k;
-        # it must finish under a recursion limit far below that depth
-        monkeypatch.setattr(coefficients, "_CELLS", {})
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack()) + 50)
-        try:
-            value = coefficients._cell(200, 1, 100)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert value == coeff_by_generating(200, 1, 100)
+            def perturbed(n, m, k, cell=cell):
+                value = real(n, m, k)
+                return value + 1 if (n, m, k) == cell else value
+
+            monkeypatch.setattr(coefficients, "closed_form", perturbed)
+            recursion_table.cache_clear()
+            try:
+                with pytest.raises(RuntimeError):
+                    recursion_table(5)
+            finally:
+                recursion_table.cache_clear()
+
 
 class TestRouteIndependence:
     @staticmethod

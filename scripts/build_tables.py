@@ -13,7 +13,7 @@ from pathlib import Path
 
 from cubeharm.bernoulli import bernoulli, scaled_bernoulli
 from cubeharm.cli import emit_table
-from cubeharm.generating import GeneratingFamily
+from cubeharm.generating import bernstein_transform, generating_poly, reversed_generating_poly
 
 
 def main():
@@ -29,13 +29,12 @@ def main():
 
     families = []
     for m in range(1, args.m_max + 1):
-        family = GeneratingFamily.for_degree(m)
         families.append(
             {
                 "m": m,
-                "direct": family.direct.to_strings(),
-                "reflected": family.reflected.to_strings(),
-                "bernstein": family.bernstein.to_strings(),
+                "direct": generating_poly(m).to_strings(),
+                "reflected": reversed_generating_poly(m, m).to_strings(),
+                "bernstein": bernstein_transform(m, m).to_strings(),
             }
         )
     (args.out / "generating.json").write_text(json.dumps(families, indent=2) + "\n")

@@ -2,7 +2,7 @@
 
 from .bernoulli import bernoulli, scaled_bernoulli
 from .coefficients import CoefficientRecord, coefficient_record, route_records
-from .generating import GeneratingFamily, generating_poly, identity_report
+from .generating import generating_poly, identity_report
 from .harmonics import harmonic_module_dimension, mean_value_report, skeleton_average
 from .invariants import (
     expand_in_elementary_basis,
@@ -20,7 +20,6 @@ __all__ = [
     "CoefficientRecord",
     "coefficient_record",
     "route_records",
-    "GeneratingFamily",
     "generating_poly",
     "identity_report",
     "harmonic_module_dimension",

@@ -19,7 +19,7 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import RATIONALS, TruncatedSeries
+from .series import TruncatedSeries
 
 __all__ = ["bernoulli", "scaled_bernoulli", "coth_series", "tanh_series"]
 
@@ -61,7 +61,7 @@ def coth_series(order):
     coeffs[0] = Fraction(1)
     for m in range(1, order // 2 + 1):
         coeffs[2 * m] = 2 * (-1) ** (m - 1) * scaled_bernoulli(m)
-    return TruncatedSeries(coeffs, order, RATIONALS)
+    return TruncatedSeries(coeffs, order)
 
 
 def tanh_series(order):
@@ -71,4 +71,4 @@ def tanh_series(order):
     coeffs = [Fraction(0)] * (order + 1)
     for m in range(1, (order + 1) // 2 + 1):
         coeffs[2 * m - 1] = 2 * (-1) ** (m - 1) * (2 ** (2 * m) - 1) * scaled_bernoulli(m)
-    return TruncatedSeries(coeffs, order, RATIONALS)
+    return TruncatedSeries(coeffs, order)

@@ -189,7 +189,7 @@ def _load_poly(path, n):
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("polynomial file must hold a JSON object")
-    if data.get("variables") != n:
+    if type(data.get("variables")) is not int or data["variables"] != n:
         raise ValueError("polynomial file variable count does not match --n")
     terms = data.get("terms")
     if not isinstance(terms, list):
@@ -201,7 +201,7 @@ def _load_poly(path, n):
             and len(term) == 2
             and isinstance(term[0], list)
             and all(type(e) is int and e >= 0 for e in term[0])
-            and isinstance(term[1], (str, int))
+            and type(term[1]) in (str, int)
         ):
             raise ValueError(f"malformed polynomial term {json.dumps(term)}")
         try:

@@ -275,6 +275,16 @@ def closed_form(n, m, k):
     return values[0]
 
 
+def _degree_two_count(n, k):
+    """c(n, 1, k) = (k+1)(k+2)(3n-2k) / (6n), counted directly.
+
+    A degree-2 invariant has only fibers with one column of sum 2,
+    column j splits it over min(j, k+1) rows, and averaging
+    C(min(j, k+1) + 1, 2) over j gives the count.
+    """
+    return Fraction((k + 1) * (k + 2) * (3 * n - 2 * k), 6 * n)
+
+
 def _c63_factor(n, m, k):
     return Fraction((n - k) * (n - k - 1) * m, n * (m - 1))
 
@@ -283,13 +293,11 @@ def _c63_factor(n, m, k):
 def recursion_table(n_max):
     """Fill the whole coefficient grid through the recursion, in one sweep.
 
-    The m = 1 row is counted directly: a degree-2 invariant has only
-    fibers with one column of sum 2, column j splits it over
-    min(j, k+1) rows, and averaging C(min(j, k+1) + 1, 2) over j gives
-    (k+1)(k+2)(3n-2k) / (6n).  Rows with m >= 2 take the closed forms at
-    k in {0, n-1, n} and are swept upward in k in between, consuming the
-    already filled (n-1, m-1) row.  Every cell a closed form covers is
-    cross-checked against it; a mismatch is an internal error.
+    The m = 1 row is counted directly by `_degree_two_count`.  Rows with
+    m >= 2 take the closed forms at k in {0, n-1, n} and are swept upward
+    in k in between, consuming the already filled (n-1, m-1) row.  Every
+    cell a closed form covers is cross-checked against it; a mismatch is
+    an internal error.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -299,7 +307,7 @@ def recursion_table(n_max):
             for k in range(n + 1):
                 check = closed_form(n, m, k)
                 if m == 1:
-                    value = Fraction((k + 1) * (k + 2) * (3 * n - 2 * k), 6 * n)
+                    value = _degree_two_count(n, k)
                 elif k in (0, n - 1, n):
                     value = check
                 else:
@@ -316,7 +324,10 @@ def recursion_table(n_max):
 
 
 def coeff_by_recursion(n, m, k):
+    """The cell of `recursion_table(n)`; the m = 1 row needs no table."""
     _validate(n, m, k)
+    if m == 1:
+        return _degree_two_count(n, k)
     return recursion_table(n)[(n, m, k)]
 
 

@@ -54,17 +54,6 @@ class YoungDiagram:
 
     parts: tuple
 
-    @classmethod
-    def from_sequence(cls, seq):
-        parts = tuple(sorted((int(p) for p in seq if p), reverse=True))
-        if any(p < 0 for p in seq):
-            raise ValueError("parts must be nonnegative")
-        return cls(parts)
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
     @property
     def length(self):
         return len(self.parts)
@@ -80,11 +69,6 @@ class YoungDiagram:
                 raise ValueError("ambient part count below diagram length")
             mult[0] = nparts - self.length
         return mult
-
-    def padded(self, nparts):
-        if nparts < self.length:
-            raise ValueError("ambient part count below diagram length")
-        return self.parts + (0,) * (nparts - self.length)
 
 
 def young_diagrams(total, max_parts):

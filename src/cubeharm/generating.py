@@ -4,29 +4,26 @@ For fixed degree parameters the leading coefficients c^(k) across all
 skeleton dimensions k assemble into one polynomial in t.  The family is
 generated by a Bernoulli-number recursion; coefficient reversal and the
 substitution t -> (1-t)/t give two companion forms, the latter satisfying
-a differential-difference equation that provides yet another production
-route.  `identity_report` verifies the defining series identities with
-polynomial coefficients, exactly, up to a truncation order.
+a differential-difference equation.  `identity_report` verifies the
+defining series identities with polynomial coefficients, exactly, up to
+a truncation order.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .bernoulli import coth_series, scaled_bernoulli, tanh_series
-from .series import POLYNOMIALS, TruncatedSeries, series_log
+from .series import TruncatedSeries, series_log
 from .unipoly import ONE, T, UniPoly, binomial_poly
 
 __all__ = [
     "generating_poly",
     "lifted_generating_poly",
-    "generating_poly_from_provider",
     "coefficient_from_generating_poly",
     "reversed_generating_poly",
     "bernstein_transform",
-    "bernstein_from_ode",
-    "GeneratingFamily",
     "IdentityCheck",
     "IdentityReport",
     "identity_report",
@@ -64,19 +61,6 @@ def _assembly_weight(n, m, k):
     return Fraction(factorial(n), factorial(n - k) * factorial(2 * m + k))
 
 
-def generating_poly_from_provider(n, m, provider):
-    """Assemble the degree-n polynomial from leading coefficients.
-
-    `provider(n, m, k)` must return the exact coefficient for skeleton
-    dimension k; the term for k carries weight n!/((n-k)! (2m+k)!) at
-    power t**(n-k).
-    """
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = provider(n, m, k) * _assembly_weight(n, m, k)
-    return UniPoly(coeffs)
-
-
 def coefficient_from_generating_poly(poly, n, m, k):
     """Invert the assembly: read the skeleton-k coefficient off t**(n-k)."""
     if not 0 <= k <= n:
@@ -90,67 +74,17 @@ def reversed_generating_poly(n, m):
 
 
 def bernstein_transform(n, m):
-    """The substitution t**n * P((1-t)/t): sum_j p_j (1-t)**j t**(n-j).
+    """The substitution t**n * P((1-t)/t) of the lifted polynomial P.
 
-    The result depends only on m, not on n.
+    Expanding sum_j p_j (1-t)**j t**(n-j) binomially puts
+    p_j (-1)**i C(j, i) at t**(n-j+i).  The result depends only on m,
+    not on n.
     """
-    poly = lifted_generating_poly(n, m)
-    one_minus_t = ONE - T
-    total = UniPoly()
-    for j, c in enumerate(poly.coeffs):
-        if c:
-            total = total + c * one_minus_t ** j * T ** (n - j)
-    return total
-
-
-def bernstein_from_ode(m, prev):
-    """Solve the differential-difference equation for the next member.
-
-    Coefficient matching in 2*F + (t/m)*F' + ((1-t)**2/(m-1))*prev' = 0
-    determines every coefficient of F, since 2 + j/m > 0.  The constant
-    term must come out as (2**(2m)-1)*b_m; a mismatch means a bug, so it
-    is a hard error rather than a report.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if prev.degree != m - 1:
-        raise ValueError("previous member must have degree m - 1")
-    f = [prev[j] for j in range(max(prev.degree + 1, 0))]
-
-    def fc(j):
-        return f[j] if 0 <= j < len(f) else Fraction(0)
-
-    coeffs = []
-    for j in range(m + 1):
-        rhs = -(Fraction(1, m - 1)) * ((j + 1) * fc(j + 1) - 2 * j * fc(j) + (j - 1) * fc(j - 1))
-        coeffs.append(rhs / (2 + Fraction(j, m)))
-    result = UniPoly(coeffs)
-    expected0 = (2 ** (2 * m) - 1) * scaled_bernoulli(m)
-    if result[0] != expected0:
-        raise RuntimeError(
-            f"differential-difference solution has constant term {result[0]},"
-            f" expected {expected0}"
-        )
-    return result
-
-
-@dataclass(frozen=True)
-class GeneratingFamily:
-    """The three companion polynomials for one degree parameter."""
-
-    m: int
-    direct: UniPoly      # base polynomial, degree m, positive coefficients
-    reflected: UniPoly   # coefficient reversal t**m * direct(1/t)
-    bernstein: UniPoly   # t**m * direct((1-t)/t)
-
-    @classmethod
-    def for_degree(cls, m):
-        return cls(
-            m=m,
-            direct=generating_poly(m),
-            reflected=reversed_generating_poly(m, m),
-            bernstein=bernstein_transform(m, m),
-        )
+    coeffs = [Fraction(0)] * (n + 1)
+    for j, c in enumerate(lifted_generating_poly(n, m).coeffs):
+        for i in range(j + 1):
+            coeffs[n - j + i] += (-1) ** i * comb(j, i) * c
+    return UniPoly(coeffs)
 
 
 @dataclass(frozen=True)
@@ -169,13 +103,6 @@ class IdentityReport:
     def all_ok(self):
         return all(c.ok for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
-
-def _poly_series(coeffs, order):
-    return TruncatedSeries(coeffs, order, POLYNOMIALS)
-
 
 def _first_mismatch(a, b):
     for j, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
@@ -186,7 +113,7 @@ def _first_mismatch(a, b):
 
 
 def _lift(series, order):
-    return _poly_series([UniPoly.constant(c) for c in series.coeffs[: order + 1]], order)
+    return TruncatedSeries([UniPoly.constant(c) for c in series.coeffs[: order + 1]], order)
 
 
 def _check_cleared_product(order):
@@ -202,12 +129,10 @@ def _check_cleared_product(order):
     lhs_sum = [UniPoly()] * (order + 1)
     for m in range(1, M + 1):
         lhs_sum[2 * m] = (-1) ** (m - 1) * generating_poly(m) * binomial_poly(M - m)
-    two_t_zcoth_plus_2 = zcoth.scale(2 * T) + _poly_series(
-        [UniPoly.constant(2)], order
-    )
-    lhs = _poly_series(lhs_sum, order) * two_t_zcoth_plus_2
+    two_t_zcoth_plus_2 = zcoth.scale(2 * T) + TruncatedSeries([UniPoly.constant(2)], order)
+    lhs = TruncatedSeries(lhs_sum, order) * two_t_zcoth_plus_2
 
-    rhs_core = zcoth + _poly_series([-ONE, UniPoly(), T], order)
+    rhs_core = zcoth + TruncatedSeries([-ONE, UniPoly(), T], order)
     rhs = rhs_core.scale(binomial_poly(M))
     ok = lhs == rhs
     return IdentityCheck("cleared-product", ok, "" if ok else _first_mismatch(lhs, rhs))
@@ -220,7 +145,7 @@ def _log_argument(order):
         cosh_c = Fraction(1, factorial(2 * j))
         sinh_c = Fraction(1, factorial(2 * j + 1))
         coeffs[2 * j] = (ONE - T) * cosh_c + T * sinh_c
-    return _poly_series(coeffs, order)
+    return TruncatedSeries(coeffs, order)
 
 
 def _check_log_series(logs, order):
@@ -240,7 +165,7 @@ def _check_log_series(logs, order):
 def _check_pde(logs, order):
     """The logarithm satisfies z F_z + (t - (1-t)^2 z^2) F_t = (1-t) z^2."""
     phi = [logs.coefficient(2 * j) for j in range(order // 2 + 1)]
-    one_minus_t_sq = (ONE - T) ** 2
+    one_minus_t_sq = UniPoly((1, -2, 1))
     for j in range(len(phi)):
         residual = 2 * j * phi[j] + T * phi[j].derivative()
         if j >= 1:

@@ -8,7 +8,6 @@ the squared variables yields the leading coefficients that every other
 computation route must reproduce.
 """
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +19,8 @@ from .linalg import solve_or_rank
 from .multipoly import MultiPoly, grlex_key
 
 __all__ = [
+    "TERM_BUDGET",
     "TermBudgetExceeded",
-    "term_budget",
     "complete_homogeneous",
     "suffix_sums",
     "flag_moment",
@@ -34,24 +33,17 @@ __all__ = [
     "expand_in_elementary_basis",
 ]
 
-DEFAULT_TERM_BUDGET = 200_000
-BUDGET_ENV_VAR = "CUBEHARM_TERM_BUDGET"
+TERM_BUDGET = 200_000  # largest term count a symbolic expansion may reach
 
 
 class TermBudgetExceeded(RuntimeError):
-    """A symbolic expansion grew beyond the configured term budget."""
-
-
-def term_budget():
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_TERM_BUDGET
+    """A symbolic expansion grew beyond the term budget."""
 
 
 def _check_budget(npolys_terms):
-    if npolys_terms > term_budget():
+    if npolys_terms > TERM_BUDGET:
         raise TermBudgetExceeded(
-            f"expansion needs {npolys_terms} terms, budget is {term_budget()}"
-            f" (override with {BUDGET_ENV_VAR})"
+            f"expansion needs {npolys_terms} terms, budget is {TERM_BUDGET}"
         )
 
 
@@ -203,12 +195,6 @@ class InvariantExpansion:
     k: int
     leading: Fraction
     lower_terms: tuple  # ((partition tuple, Fraction), ...) in enumeration order
-
-    def reconstruct(self):
-        total = _elementary_product(self.n, (self.m,)) * self.leading
-        for parts, coeff in self.lower_terms:
-            total = total + _elementary_product(self.n, parts) * coeff
-        return total
 
 
 def _elementary_product(n, parts):

@@ -14,7 +14,6 @@ __all__ = [
     "InconsistentSystemError",
     "UnderdeterminedSystemError",
     "solve_or_rank",
-    "rank",
     "RowBasis",
 ]
 
@@ -66,10 +65,6 @@ def solve_or_rank(matrix, rhs=None):
             c * solution[j] for j, c in pivot.items() if col < j < ncols
         )
     return solution
-
-
-def rank(matrix):
-    return solve_or_rank(matrix)
 
 
 class RowBasis:

@@ -69,10 +69,6 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {dict(self.canonical_items())!r})"
 
-    def total_degree(self):
-        """Largest term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def canonical_items(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
@@ -108,19 +104,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def partial(self, index):
         """Partial derivative with respect to variable `index`."""
         out = {}
@@ -143,38 +126,6 @@ class MultiPoly:
                 if result.is_zero():
                     return result
         return result
-
-    def signed_permute(self, signs=None, perm=None):
-        """Substitute x_i -> signs[i] * x_{perm[i]} (identity when omitted)."""
-        if signs is None:
-            signs = (1,) * self.nvars
-        if perm is None:
-            perm = tuple(range(self.nvars))
-        out = {}
-        for exps, c in self.terms.items():
-            sign = 1
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                if e:
-                    new[perm[i]] += e
-                    if signs[i] < 0 and e % 2:
-                        sign = -sign
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + sign * c
-        return MultiPoly(self.nvars, out)
-
-    def evaluate(self, point):
-        """Evaluate at a point; works for Fractions, floats and complexes."""
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        total = 0
-        for exps, c in self.terms.items():
-            term = c if isinstance(point[0], Fraction) else complex(c)
-            for value, e in zip(point, exps):
-                if e:
-                    term = term * value ** e
-            total = total + term
-        return total
 
     def extended(self, nvars):
         """Embed into a ring with extra trailing variables."""

@@ -1,86 +1,42 @@
-"""Truncated formal power series over a pluggable coefficient ring.
+"""Truncated formal power series with exact coefficients.
 
 A series of order N stores exactly N + 1 coefficients (the part known
 modulo z**(N+1)).  Binary operations on mismatched orders truncate to
 the smaller order.  Coefficients may be rationals or univariate
-polynomials; the ring is described by a tiny descriptor so the same
-code drives both.
+polynomials: anything with +, - and *, whose zero is `c * 0` and is
+falsy.  A series pads itself with the zero of its own first coefficient.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
 
-from .unipoly import UniPoly
-
-__all__ = [
-    "CoefficientRing",
-    "RATIONALS",
-    "POLYNOMIALS",
-    "TruncatedSeries",
-    "series_div",
-    "series_log",
-]
-
-
-@dataclass(frozen=True)
-class CoefficientRing:
-    name: str
-    zero: Any
-    one: Any
-    invert: Callable[[Any], Any]
-
-
-def _invert_rational(c):
-    if not c:
-        raise ValueError("zero is not invertible")
-    return Fraction(1) / c
-
-
-def _invert_unipoly(p):
-    if p.degree != 0:
-        raise ValueError("only nonzero constant polynomials are invertible")
-    return UniPoly.constant(Fraction(1) / p[0])
-
-
-RATIONALS = CoefficientRing("rationals", Fraction(0), Fraction(1), _invert_rational)
-POLYNOMIALS = CoefficientRing("rational polynomials", UniPoly(), UniPoly.constant(1), _invert_unipoly)
+__all__ = ["TruncatedSeries", "series_div", "series_log"]
 
 
 class TruncatedSeries:
     """Power series truncated at a fixed order, with exact coefficients."""
 
-    __slots__ = ("order", "coeffs", "ring")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order, ring=RATIONALS):
+    def __init__(self, coeffs, order):
         if order < 0:
             raise ValueError("order must be >= 0")
         cs = list(coeffs)[: order + 1]
-        cs += [ring.zero] * (order + 1 - len(cs))
+        zero = cs[0] * 0 if cs else Fraction(0)
+        cs += [zero] * (order + 1 - len(cs))
         self.order = order
         self.coeffs = tuple(cs)
-        self.ring = ring
 
     @classmethod
-    def zeros(cls, order, ring=RATIONALS):
-        return cls((), order, ring)
-
-    @classmethod
-    def term(cls, coeff, power, order, ring=RATIONALS):
-        cs = [ring.zero] * (order + 1)
+    def term(cls, coeff, power, order):
+        cs = [coeff * 0] * (order + 1)
         if power <= order:
             cs[power] = coeff
-        return cls(cs, order, ring)
+        return cls(cs, order)
 
     def coefficient(self, power):
         if 0 <= power <= self.order:
             return self.coeffs[power]
         raise IndexError(f"coefficient z^{power} beyond truncation order {self.order}")
-
-    def truncated(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order, self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -93,107 +49,64 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
-    def _common(self, other):
-        if self.ring is not other.ring:
-            raise ValueError("coefficient ring mismatch")
-        return min(self.order, other.order)
-
     def __add__(self, other):
-        order = self._common(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), order, self.ring
-        )
-
-    def __sub__(self, other):
-        order = self._common(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), order, self.ring
-        )
-
-    def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.order, self.ring)
+        order = min(self.order, other.order)
+        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), order)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            order = self._common(other)
-            out = [self.ring.zero] * (order + 1)
+            order = min(self.order, other.order)
+            out = [self.coeffs[0] * 0] * (order + 1)
             for i in range(order + 1):
                 a = self.coeffs[i]
-                if a == self.ring.zero:
+                if not a:
                     continue
                 for j in range(order + 1 - i):
                     b = other.coeffs[j]
-                    if b == self.ring.zero:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(out, order, self.ring)
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+            return TruncatedSeries(out, order)
         return self.scale(other)
 
-    __rmul__ = __mul__
-
     def scale(self, factor):
-        """Multiply every coefficient by a fixed ring element or scalar."""
-        return TruncatedSeries(
-            tuple(c * factor for c in self.coeffs), self.order, self.ring
-        )
-
-    def shift(self, power):
-        """Multiply by z**power, dropping what crosses the truncation."""
-        if power < 0:
-            raise ValueError("negative shift")
-        cs = [self.ring.zero] * min(power, self.order + 1) + list(
-            self.coeffs[: self.order + 1 - power]
-        )
-        return TruncatedSeries(cs, self.order, self.ring)
-
-    def is_zero(self):
-        return all(c == self.ring.zero for c in self.coeffs)
+        """Multiply every coefficient by a fixed coefficient or scalar."""
+        return TruncatedSeries(tuple(c * factor for c in self.coeffs), self.order)
 
 
-def series_div(numerator, denominator, order=None):
-    """Exact series quotient q with q * denominator = numerator (mod z**(order+1)).
+def series_div(numerator, denominator):
+    """Exact series quotient q with q * denominator = numerator, truncated
+    at the smaller order of the two.
 
-    The constant term of the denominator must be invertible in the
-    coefficient ring.
+    The constant term of the denominator must be 1; any other raises
+    ValueError.
     """
-    if numerator.ring is not denominator.ring:
-        raise ValueError("coefficient ring mismatch")
-    ring = numerator.ring
-    if order is None:
-        order = min(numerator.order, denominator.order)
-    if order > min(numerator.order, denominator.order):
-        raise ValueError("requested order exceeds operand truncation")
-    inv0 = ring.invert(denominator.coeffs[0])
+    if denominator.coeffs[0] != 1:
+        raise ValueError("series_div requires a denominator with constant term one")
+    order = min(numerator.order, denominator.order)
     quotient = []
     for j in range(order + 1):
         acc = numerator.coeffs[j]
         for i in range(j):
             acc = acc - quotient[i] * denominator.coeffs[j - i]
-        quotient.append(acc * inv0)
-    return TruncatedSeries(quotient, order, ring)
+        quotient.append(acc)
+    return TruncatedSeries(quotient, order)
 
 
-def series_log(series, order=None):
-    """Logarithm of a series with constant term one, truncated.
+def series_log(series):
+    """Logarithm of a series with constant term one, at the same order.
 
     Computed from the derivative quotient: log(s)' = s'/s, integrated
-    term by term, which keeps all arithmetic in the coefficient ring.
+    term by term, which keeps all arithmetic among the coefficients.
     """
-    ring = series.ring
-    if order is None:
-        order = series.order
-    if order > series.order:
-        raise ValueError("requested order exceeds operand truncation")
-    if series.coeffs[0] != ring.one:
+    if series.coeffs[0] != 1:
         raise ValueError("series_log requires constant term one")
-    out = [ring.zero] * (order + 1)
+    order = series.order
+    out = [series.coeffs[0] * 0] * (order + 1)
     if order >= 1:
         derived = TruncatedSeries(
-            tuple((j + 1) * series.coeffs[j + 1] for j in range(order)),
-            order - 1,
-            ring,
+            tuple((j + 1) * series.coeffs[j + 1] for j in range(order)), order - 1
         )
-        quotient = series_div(derived, series.truncated(order - 1))
+        quotient = series_div(derived, series)
         for j in range(1, order + 1):
             out[j] = quotient.coeffs[j - 1] * Fraction(1, j)
-    return TruncatedSeries(out, order, ring)
+    return TruncatedSeries(out, order)

@@ -45,9 +45,6 @@ class UniPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -84,8 +81,6 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly(tuple(-c for c in self.coeffs))
 
@@ -96,9 +91,6 @@ class UniPoly:
         if c is None:
             return NotImplemented
         return self + UniPoly.constant(-c)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
@@ -121,25 +113,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = UniPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, value):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def derivative(self):
         return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -155,10 +128,6 @@ class UniPoly:
     def to_strings(self):
         """Serialize as a list of "p/q" strings, lowest degree first."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items):
-        return cls(tuple(Fraction(s) for s in items))
 
     def pretty(self, var="t"):
         if not self.coeffs:

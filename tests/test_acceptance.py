@@ -35,6 +35,7 @@ from cubeharm.harmonics import (
 from cubeharm.invariants import flag_moment, flag_moment_even, skeleton_invariant
 from cubeharm.multipoly import MultiPoly
 from cubeharm.unipoly import ONE, T, UniPoly
+from oracles import power, signed_permute
 from staircase import quad_matrices_with_colsums
 
 
@@ -121,7 +122,7 @@ def test_criterion_6_n_independence():
         bern = bernstein_transform(m, m)
         for n in range(m, m + 4):
             lifted = lifted_generating_poly(n, m)
-            ok = ok and lifted * one_plus_t ** m == base * one_plus_t ** n
+            ok = ok and lifted * power(one_plus_t, m) == base * power(one_plus_t, n)
             ok = ok and bernstein_transform(n, m) == bern
     _verdict(6, "n-independence of the normalized generating polynomials", ok)
 
@@ -154,7 +155,7 @@ def test_criterion_7_definitional_equivalences():
                 h = flag_moment(n, k, m)
                 avg = MultiPoly.zero(n)
                 for signs in product((1, -1), repeat=n):
-                    avg = avg + h.signed_permute(signs=signs)
+                    avg = avg + signed_permute(h, signs=signs)
                 ok = ok and flag_moment_even(n, k, m) == avg * Fraction(1, 2 ** n)
     # full group average and odd-degree vanishing
     for n in range(1, 4):
@@ -164,7 +165,7 @@ def test_criterion_7_definitional_equivalences():
                 avg = MultiPoly.zero(n)
                 for perm in permutations(range(n)):
                     for signs in product((1, -1), repeat=n):
-                        avg = avg + h.signed_permute(signs=signs, perm=perm)
+                        avg = avg + signed_permute(h, signs=signs, perm=perm)
                 avg = avg * Fraction(1, 2 ** n * factorial(n))
                 ok = ok and skeleton_invariant(n, k, degree) == avg
                 if degree % 2:
@@ -184,7 +185,7 @@ def test_criterion_7_definitional_equivalences():
         for weight in range(5):
             for mu in young_diagrams(weight, k):
                 brute = Fraction(0)
-                for nu in set(permutations(mu.padded(k))):
+                for nu in set(permutations(mu.parts + (0,) * (k - mu.length))):
                     term = Fraction(1)
                     for j in range(1, k + 1):
                         term /= 2 * sum(nu[:j]) + j

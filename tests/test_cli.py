@@ -191,6 +191,21 @@ class TestVerifyCommands:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "n, payload",
+        [
+            ("2", {"variables": 2, "terms": [[[1, 0], True]]}),
+            ("1", {"variables": True, "terms": [[[1], "1"]]}),
+        ],
+        ids=["boolean-coefficient", "boolean-variables"],
+    )
+    def test_mvp_rejects_json_booleans(self, capsys, tmp_path, n, payload):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "mvp", "--n", n, "--k", "1", "--f", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_verify_takes_no_format(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "mvp", "--n", "2", "--k", "1", "--format", "json"])

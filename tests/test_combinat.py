@@ -63,16 +63,12 @@ class TestYoungDiagrams:
         assert [d.parts for d in young_diagrams(3, 2)] == [(3,), (2, 1)]
 
     def test_multiplicities_with_context(self):
-        d = YoungDiagram.from_sequence([2, 1, 1, 0])
-        assert d.parts == (2, 1, 1)
-        assert d.weight == 4
+        d = YoungDiagram((2, 1, 1))
         assert d.length == 3
         assert d.multiplicities() == {2: 1, 1: 2}
         assert d.multiplicities(nparts=5) == {2: 1, 1: 2, 0: 2}
-        assert d.padded(4) == (2, 1, 1, 0)
-
-    def test_identity_ignores_padding(self):
-        assert YoungDiagram.from_sequence([2, 1, 0]) == YoungDiagram.from_sequence([2, 1])
+        with pytest.raises(ValueError):
+            d.multiplicities(nparts=2)
 
 
 class TestQuadMatrices:

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from cubeharm import invariants
 from cubeharm.combinat import compositions
 from cubeharm.invariants import (
     complete_homogeneous,
@@ -16,6 +17,7 @@ from cubeharm.invariants import (
     suffix_sums,
 )
 from cubeharm.multipoly import MultiPoly
+from oracles import reconstruct, signed_permute
 from staircase import quad_matrices_with_colsums
 
 
@@ -43,7 +45,7 @@ def even_part_by_sign_average(n, k, m):
     h = flag_moment(n, k, m)
     total = MultiPoly.zero(n)
     for signs in product((1, -1), repeat=n):
-        total = total + h.signed_permute(signs=signs)
+        total = total + signed_permute(h, signs=signs)
     return total * Fraction(1, 2 ** n)
 
 
@@ -52,7 +54,7 @@ def invariant_by_group_average(n, k, m):
     total = MultiPoly.zero(n)
     for perm in permutations(range(n)):
         for signs in product((1, -1), repeat=n):
-            total = total + h.signed_permute(signs=signs, perm=perm)
+            total = total + signed_permute(h, signs=signs, perm=perm)
     return total * Fraction(1, 2 ** n * factorial(n))
 
 
@@ -65,7 +67,7 @@ class TestCompleteHomogeneous:
 
     def test_single_argument_is_power(self):
         s = suffix_sums(2)[0]
-        assert complete_homogeneous(3, [s]) == s ** 3
+        assert complete_homogeneous(3, [s]) == s * s * s
 
     def test_trailing_zero_argument_is_dropped(self):
         t1 = MultiPoly.variable(2, 0)
@@ -142,7 +144,7 @@ class TestSkeletonInvariant:
     def test_symmetric_in_squared_variables(self):
         tau = skeleton_invariant(3, 1, 4)
         for perm in permutations(range(3)):
-            assert tau.signed_permute(perm=perm) == tau
+            assert signed_permute(tau, perm=perm) == tau
 
 
 class TestElementaryAndAlternating:
@@ -161,7 +163,7 @@ class TestElementaryAndAlternating:
 
     def test_alternating_three_variables(self):
         d = fundamental_alternating(3)
-        assert d.total_degree() == 9
+        assert {sum(e) for e in d.terms} == {9}
         assert len(d.terms) == 6
         assert all(c in (1, -1) for c in d.terms.values())
 
@@ -170,24 +172,24 @@ class TestElementaryAndAlternating:
             d = fundamental_alternating(n)
             for i in range(n):
                 signs = tuple(-1 if j == i else 1 for j in range(n))
-                assert d.signed_permute(signs=signs) == -d
+                assert signed_permute(d, signs=signs) == -d
             for i in range(n):
                 for j in range(i + 1, n):
                     perm = list(range(n))
                     perm[i], perm[j] = perm[j], perm[i]
-                    assert d.signed_permute(perm=tuple(perm)) == -d
+                    assert signed_permute(d, perm=tuple(perm)) == -d
 
 
 class TestTermBudget:
     def test_budget_guard_fires(self, monkeypatch):
         from cubeharm.invariants import TermBudgetExceeded
 
-        monkeypatch.setenv("CUBEHARM_TERM_BUDGET", "1")
+        monkeypatch.setattr(invariants, "TERM_BUDGET", 1)
         with pytest.raises(TermBudgetExceeded):
             expand_in_elementary_basis(3, 2, 0)
 
     def test_budget_override_allows_work(self, monkeypatch):
-        monkeypatch.setenv("CUBEHARM_TERM_BUDGET", "100000")
+        monkeypatch.setattr(invariants, "TERM_BUDGET", 100000)
         assert expand_in_elementary_basis(2, 1, 0).leading == 1
 
 
@@ -203,7 +205,7 @@ class TestExpansion:
             for m in range(1, n + 1):
                 for k in range(n + 1):
                     expansion = expand_in_elementary_basis(n, m, k)
-                    assert expansion.reconstruct() == skeleton_invariant(n, k, 2 * m)
+                    assert reconstruct(expansion) == skeleton_invariant(n, k, 2 * m)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from cubeharm.linalg import (
     InconsistentSystemError,
     RowBasis,
     UnderdeterminedSystemError,
-    rank,
     solve_or_rank,
 )
 
@@ -25,7 +24,7 @@ def test_rank_of_dependent_rows():
 def test_rank_of_quadratic_derivative_span():
     # second derivatives of x1^3 x2 - x1 x2^3 in coordinates (x1x2, x1^2, x2^2)
     rows = [[6, 0, 0], [0, 3, -3], [-6, 0, 0]]
-    assert rank(rows) == 2
+    assert solve_or_rank(rows) == 2
 
 
 def test_inconsistent_system():

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeharm.series import POLYNOMIALS, TruncatedSeries, series_div, series_log
+from cubeharm.series import TruncatedSeries, series_div, series_log
 from cubeharm.unipoly import ONE, T, UniPoly
+from oracles import power
 
 
 def series_exp(s):
     """Test-side oracle: exponential by summing powers (constant term 0)."""
-    result = TruncatedSeries.term(s.ring.one, 0, s.order, s.ring)
-    term = TruncatedSeries.term(s.ring.one, 0, s.order, s.ring)
+    one = s.coeffs[0] * 0 + 1
+    result = TruncatedSeries.term(one, 0, s.order)
+    term = TruncatedSeries.term(one, 0, s.order)
     for j in range(1, s.order + 1):
         term = term * s
         result = result + term.scale(Fraction(1, factorial(j)))
@@ -39,13 +41,12 @@ class TestUniPoly:
     def test_arithmetic(self):
         p = ONE + T
         assert (p * p).coeffs == (1, 2, 1)
-        assert (p - p).is_zero()
-        assert (p ** 3)[2] == 3
+        assert not p - p
+        assert power(p, 3)[2] == 3
         assert (2 * p)[0] == 2
 
-    def test_evaluate_and_derivative(self):
+    def test_derivative(self):
         p = UniPoly((1, 0, 3))  # 1 + 3t^2
-        assert p(Fraction(1, 2)) == Fraction(7, 4)
         assert p.derivative().coeffs == (0, 6)
 
     def test_reciprocal(self):
@@ -58,7 +59,7 @@ class TestUniPoly:
     def test_string_round_trip(self):
         p = UniPoly((Fraction(1, 6), Fraction(1, 2)))
         assert p.to_strings() == ["1/6", "1/2"]
-        assert UniPoly.from_strings(p.to_strings()) == p
+        assert UniPoly(Fraction(s) for s in p.to_strings()) == p
 
 
 class TestSeriesBasics:
@@ -68,9 +69,12 @@ class TestSeriesBasics:
         assert (a + b).order == 1
         assert (a * b).order == 1
 
-    def test_shift_drops_top(self):
-        s = TruncatedSeries([1, 1, 1], 2)
-        assert s.shift(2).coeffs == (0, 0, 1)
+    def test_pads_with_the_zero_of_its_coefficients(self):
+        rational = TruncatedSeries([Fraction(1)], 2).coeffs
+        assert rational == (1, 0, 0) and type(rational[2]) is Fraction
+        for coeffs in (TruncatedSeries([ONE], 2).coeffs, TruncatedSeries.term(T, 1, 2).coeffs):
+            assert [type(c) for c in coeffs] == [UniPoly] * 3
+            assert [c.degree for c in coeffs] in ([0, -1, -1], [-1, 1, -1])
 
 
 class TestSeriesLog:
@@ -85,7 +89,7 @@ class TestSeriesLog:
 
     def test_log_of_one(self):
         s = TruncatedSeries([1], 5)
-        assert series_log(s).is_zero()
+        assert series_log(s).coeffs == (0,) * 6
 
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):
@@ -106,20 +110,20 @@ class TestSeriesDiv:
         assert series_div(num, den).coeffs == (0, 0, 1, 0, 1, 0, 1)
 
     def test_geometric_over_polynomials(self):
-        one = TruncatedSeries.term(UniPoly.constant(1), 0, 4, POLYNOMIALS)
-        den = TruncatedSeries([ONE, UniPoly(), T], 4, POLYNOMIALS)
+        one = TruncatedSeries.term(UniPoly.constant(1), 0, 4)
+        den = TruncatedSeries([ONE, UniPoly(), T], 4)
         q = series_div(one, den)
         assert q.coeffs == (ONE, UniPoly(), -T, UniPoly(), T * T)
 
     def test_rejects_noninvertible_constant(self):
         num = TruncatedSeries([1], 3)
-        den = TruncatedSeries([0, 1], 3)
-        with pytest.raises(ValueError):
-            series_div(num, den)
+        for constant in (0, 2, Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                series_div(num, TruncatedSeries([constant, 1], 3))
         with pytest.raises(ValueError):
             series_div(
-                TruncatedSeries.term(UniPoly.constant(1), 0, 3, POLYNOMIALS),
-                TruncatedSeries.term(ONE + T, 0, 3, POLYNOMIALS),
+                TruncatedSeries.term(UniPoly.constant(1), 0, 3),
+                TruncatedSeries.term(ONE + T, 0, 3),
             )
 
     @settings(max_examples=60, deadline=None)

@@ -7,8 +7,11 @@ lines and a `SUMMARY` line).  Then `main` alone writes the text to stdout
 or `--out`, so a command that fails writes neither.
 
 Exit codes: 0 success (all verifications passed), 1 a verification
-failed, 2 usage or domain error.  Machine formats render rationals as
-"p/q" strings, never as decimals; the text format may append a clearly
+failed, 2 usage or domain error, or a refusal: `main` first checks the
+command's cost estimates (`cost.COMMANDS`), and one over its limit stops
+it with one line naming the estimate, the limit and `--allow-large`,
+which every command takes to run anyway.  Machine formats render
+rationals as "p/q" strings, never as decimals; the text format may append a clearly
 marked decimal approximation.  Identical invocations produce identical
 bytes.
 """
@@ -24,14 +27,14 @@ from fractions import Fraction
 from math import factorial
 
 from . import coefficients as coeff
+from . import cost
 from . import generating as gen
 from . import harmonics, invariants
 from .bernoulli import bernoulli, scaled_bernoulli
 from .multipoly import MultiPoly
 
-__all__ = ["emit_table", "main", "TABLE_MAX_N"]
+__all__ = ["emit_table", "main"]
 
-TABLE_MAX_N = 6
 FORMATS = ("text", "csv", "json")
 
 
@@ -87,9 +90,9 @@ def cmd_coeff(args):
 
 
 def _grid(n_max):
-    """Cells 1 <= m <= n <= n_max, 0 <= k <= n, for a bound 1 <= n_max <= TABLE_MAX_N."""
-    if not 1 <= n_max <= TABLE_MAX_N:
-        raise ValueError(f"grid bound must be between 1 and {TABLE_MAX_N}")
+    """Cells 1 <= m <= n <= n_max, 0 <= k <= n, for a bound n_max >= 1."""
+    if n_max < 1:
+        raise ValueError("grid bound must be at least 1")
     return [
         (n, m, k)
         for n in range(1, n_max + 1)
@@ -106,10 +109,9 @@ def emit_table(n_max, fmt):
     """
     records = []
     for n, m, k in _grid(n_max):
-        consensus = coeff.coeff_by_young_sum(n, m, k)
-        agreeing = sorted(
-            r.route for r in coeff.route_records(n, m, k) if r.value == consensus
-        )
+        cell = coeff.route_records(n, m, k)
+        consensus = next(r.value for r in cell if r.route == "young")
+        agreeing = sorted(r.route for r in cell if r.value == consensus)
         records.append(
             {"n": n, "m": m, "k": k, "value": str(consensus), "routesAgreeing": agreeing}
         )
@@ -130,7 +132,7 @@ def cmd_table(args):
 
 
 def cmd_gen(args):
-    n = args.n if args.n else args.m
+    n = args.m if args.n is None else args.n
     poly = {
         "G": gen.lifted_generating_poly,
         "Ghat": gen.reversed_generating_poly,
@@ -218,6 +220,7 @@ def _load_poly(path, n):
 def cmd_verify_mvp(args):
     if args.poly_file:
         f = _load_poly(args.poly_file, args.n)
+        cost.check("averaging", cost.averaging(f.terms), args.allow_large)
         label = args.poly_file
     else:
         f = invariants.fundamental_alternating(args.n)
@@ -266,11 +269,13 @@ def cmd_verify_routes(args):
 
 
 def _add_output_args(parser, handler, formats=True):
-    """The options every command ends with, and the handler it runs."""
+    """The options every command ends with, the handler it runs, and the
+    costs `main` checks first: the command's entry in `cost.COMMANDS`."""
     if formats:
         parser.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
     parser.add_argument("--out", default="", help="write output to this file")
-    parser.set_defaults(handler=handler)
+    parser.add_argument("--allow-large", action="store_true", help="run past the cost limits")
+    parser.set_defaults(handler=handler, costs=cost.COMMANDS[parser.prog.split(maxsplit=1)[1]])
 
 
 @functools.cache
@@ -295,7 +300,7 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generating polynomials")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, help="lift to this n (default m)")
     p.add_argument("--what", default="G", choices=["G", "Ghat", "F"])
     _add_output_args(p, cmd_gen)
 
@@ -327,7 +332,6 @@ def build_parser():
 
     v = vsub.add_parser("dimension", help="derivative module dimension")
     v.add_argument("--n", type=int, required=True)
-    v.add_argument("--allow-large", action="store_true", help=f"permit n > {harmonics.DIMENSION_GUARD}")
     _add_output_args(v, cmd_verify_dimension, formats=False)
 
     v = vsub.add_parser("annihilation", help="invariants annihilate the alternating polynomial")
@@ -344,6 +348,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for kind, estimate in args.costs(args):
+            cost.check(kind, estimate, args.allow_large)
         text, code = args.handler(args)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
             sink.write(text)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from . import generating
+from . import cost, generating
 from .bernoulli import scaled_bernoulli
 from .combinat import compositions, fiber_weight, young_diagrams
 from .invariants import expand_in_elementary_basis
@@ -48,12 +48,9 @@ __all__ = [
     "coeff_by_recursion",
     "recursion_table",
     "ROUTES",
-    "SYMBOLIC_MAX_N",
     "coefficient_record",
     "route_records",
 ]
-
-SYMBOLIC_MAX_N = 5  # practical bound for the symbolic oracle
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,6 @@ def coeff_by_generating(n, m, k):
 def coeff_by_expansion(n, m, k):
     """Definition-level value from the symbolic elementary-basis expansion."""
     _validate(n, m, k)
-    if n > SYMBOLIC_MAX_N:
-        raise ValueError(f"symbolic expansion limited to n <= {SYMBOLIC_MAX_N}")
     return expand_in_elementary_basis(n, m, k).leading
 
 
@@ -341,12 +336,6 @@ ROUTES = {
     "extremal": closed_form,
 }
 
-# Largest n at which a route joins a multi-route sweep; every other route
-# joins at every n.  The matrix route sums each fiber by a dynamic program
-# whose states grow with n (seconds at n = 6) and the oracle expands
-# symbolically.
-SWEEP_MAX_N = {"matrix": 6, "oracle": 3}
-
 
 def coefficient_record(n, m, k, route):
     """One computed coefficient tagged with its route."""
@@ -363,13 +352,13 @@ def coefficient_record(n, m, k, route):
 def route_records(n, m, k):
     """Records for every route that joins the sweep at one grid cell.
 
-    A route joins up to its `SWEEP_MAX_N` bound; the closed form joins
+    A route joins as `cost.joins_sweep` says; the closed form joins
     whenever it applies.
     """
     _validate(n, m, k)
     records = []
     for route, func in ROUTES.items():
-        if n <= SWEEP_MAX_N.get(route, n):
+        if cost.joins_sweep(route, n):
             value = func(n, m, k)
             if value is not None:
                 records.append(CoefficientRecord(n, m, k, value, route))

@@ -1,0 +1,200 @@
+"""One cost policy for every command.
+
+The paper's objects grow factorially: Delta_n has n! terms, the
+derivative module has dimension 2**n n!, and the invariant basis has p(m)
+members.  So before it does any work, each command estimates what it is
+about to compute, by closed-form arithmetic (its entry in COMMANDS), and
+`check` refuses an estimate over its limit in LIMITS unless large work
+is allowed (`--allow-large` on the command line).  A limit admits a
+command that ends within seconds on a 2-core machine; the slowest
+admitted, at about 7 s, is the matrix route's cell (6, 6, 6), which the
+n <= 6 sweep needs.  Past a limit the work grows fast.  The library
+checks nothing in advance, except the derivative module through
+`allow_large`.
+"""
+
+from math import comb, exp, factorial, pi, sqrt
+
+__all__ = [
+    "TooLarge",
+    "LIMITS",
+    "check",
+    "joins_sweep",
+    "ROUTE_COSTS",
+    "averaging",
+    "COMMANDS",
+]
+
+# kind: (limit, what the estimate counts).  A "sweep" entry is no check:
+# it is the largest n at which that route joins a multi-route sweep.
+LIMITS = {
+    "grid": (6, "coefficient grid bound n"),
+    "matrix sweep": (6, "largest n at which the matrix route joins a sweep"),
+    "oracle sweep": (3, "largest n at which the oracle joins a sweep"),
+    "oracle": (5, "symbolic oracle variable count"),
+    "dimension": (3, "derivative-module variable count"),
+    "factorial": (100_000, "factorial size n + 2m"),
+    "fiber DP": (3_000_000, "fiber DP step estimate"),
+    "partition DP": (3_000_000, "partition DP step estimate n (m+1)^3"),
+    "Young diagrams": (1_000_000, "Young diagram part estimate p(m) m"),
+    "lift": (100_000_000, "lift product estimate"),
+    "generating family": (50_000_000, "generating-family product estimate m^4"),
+    "recursion table": (200_000, "recursion table cell count"),
+    "Bernoulli numbers": (500, "Bernoulli number count"),
+    "series order": (128, "series order"),
+    "averaging": (20_000_000, "degree-weighted averaging term count"),
+    "exponent entries": (10_000_000, "exponent entry estimate"),
+}
+
+HUGE = 10**50  # every estimate at least this big is shown as "over" it
+
+
+class TooLarge(ValueError):
+    """A cost estimate over its limit, without the opt-in."""
+
+
+def check(kind, estimate, allow_large=False):
+    """Refuse `estimate` over the limit of `kind` unless `allow_large`."""
+    limit, what = LIMITS[kind]
+    if estimate > limit and not allow_large:
+        shown = estimate if estimate < HUGE else f"over {HUGE:.0e}"
+        raise TooLarge(
+            f"{what} is {shown}, over the limit {limit}; pass --allow-large to run it anyway"
+        )
+
+
+def joins_sweep(route, n):
+    """Whether a route joins a multi-route sweep at n: up to its "sweep"
+    bound in LIMITS, and at every n without one."""
+    bound, _ = LIMITS.get(route + " sweep", (n, ""))
+    return n <= bound
+
+
+def _comb(a, b):
+    """C(a, b) up to HUGE, 0 outside 0 <= b <= a; cheap at any size."""
+    if not 0 <= b <= a:
+        return 0
+    b = min(b, a - b)
+    return min(comb(a, b), HUGE) if b <= 100 else HUGE
+
+
+def _factorial(n):
+    """n! up to HUGE, 1 below n = 0."""
+    return factorial(max(n, 0)) if n <= 41 else HUGE
+
+
+def _partitions(m):
+    """The Hardy-Ramanujan estimate of p(m), the Young diagrams of weight m
+    (a float only here, in a cost estimate, never in a value)."""
+    if m < 1:
+        return int(m == 0)
+    if m > 10_000:
+        return HUGE
+    return min(int(exp(pi * sqrt(2 * m / 3)) / (4 * sqrt(3) * m)) + 1, HUGE)
+
+
+def _fiber_dp(n, m, k):
+    """Steps of `combinat.fiber_weight` over the C(m+n-1, n-1) fibers of
+    column sums 2 nu: C(2m+K, K) row sums on K + 1 = min(k+1, n) rows,
+    over n - K columns.  Fitted to the steps counted on every cell with
+    n <= 7, and on n = 8 as far as it ran, within a factor of 2.4."""
+    rows = max(0, min(k, n - 1))
+    return _comb(m + n - 1, n - 1) * (n - rows) * _comb(2 * m + rows, rows)
+
+
+def _recursion_cells(n, m):
+    """Cells of `recursion_table(n)`, which only rows with m >= 2 build."""
+    return n * (n + 1) * (n + 2) // 3 if m >= 2 else 0
+
+
+# route: (n, m, k) -> the (kind, estimate) pairs of one coefficient
+ROUTE_COSTS = {
+    "matrix": lambda n, m, k: [("fiber DP", _fiber_dp(n, m, k))],
+    "partition": lambda n, m, k: [("partition DP", n * (m + 1) ** 3)],
+    # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
+    "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", m * n * n)],
+    "generating": lambda n, m, k: [("generating family", m**4), ("factorial", n + 2 * m)],
+    "recursion": lambda n, m, k: [("recursion table", _recursion_cells(n, m))],
+    "oracle": lambda n, m, k: [("oracle", n)],
+    "extremal": lambda n, m, k: [("factorial", n + 2 * m), ("Bernoulli numbers", m + 1)],
+}
+
+
+def _coeff(args):
+    n, m, k = args.n, args.m, args.k
+    routes = [r for r in ROUTE_COSTS if joins_sweep(r, n)] if args.route == "all" else [args.route]
+    return [pair for route in routes for pair in ROUTE_COSTS[route](n, m, k)]
+
+
+def _gen(args):
+    """The family up to m, lifted to n: n**2 m products, or n**3 for the
+    Bernstein form's binomial rows."""
+    m, n = args.m, args.m if args.n is None else args.n
+    return [("generating family", m**4), ("lift", n * n * (n if args.what == "F" else m))]
+
+
+def _invariant(args):
+    """Exponent entries the invariant polynomial writes, and for g and tau
+    the fiber DP of their even part."""
+    what, n, m, k = args.what, args.n, args.m, args.k
+    if what == "delta":
+        # C(n, 2) products, each at most doubling the terms up to n!
+        return [("exponent entries", _factorial(n) * n**3)]
+    if what == "e":
+        return [("exponent entries", _comb(n, m) * n)]
+    if what == "h":
+        # each ordered split of m over the k + 1 arguments is a product of
+        # up to m factors with up to C(m+n-1, n-1) terms; n suffix sums
+        parts = max(1, min(k + 1, n))
+        splits = _comb(m + parts - 1, parts - 1)
+        return [("exponent entries", splits * _comb(m + n - 1, n - 1) * n * max(m, 1) + n * n)]
+    half = m // 2 if m % 2 == 0 else -1  # an odd degree is zero at once
+    entries = n * (k + 1)
+    if what == "tau":
+        # each orbit of exponent vectors is spread over n! permutations
+        entries += _partitions(half) * _factorial(n) * n
+    return [("fiber DP", _fiber_dp(n, half, k)), ("exponent entries", entries)]
+
+
+def averaging(exponents):
+    """Terms of `harmonics.skeleton_average`: prod(a_i // 2 + 1) per term,
+    weighted by its degree + 1, since the binomials grow with it."""
+    total = 0
+    for exps in exponents:
+        beta = 1
+        for a in exps:
+            beta *= a // 2 + 1
+        total += beta * (sum(exps) + 1)
+    return total
+
+
+def _mvp(args):
+    """`averaging` of Delta_n, whose exponents permute 1, 3, ..., 2n-1:
+    n! terms of n! products each, at degree n**2.  A --f polynomial is
+    checked once it is read."""
+    n = args.n
+    return [] if args.poly_file else [("averaging", _factorial(n) ** 2 * (n * n + 1))]
+
+
+def _annihilation(args):
+    """Exponent entries of applying every skeleton invariant of degree
+    2m <= 2n to Delta_n: (n+1) C(m+n-1, n-1) operator terms per m, each 2m
+    derivatives of n! terms, and sum_m m C(m+n-1, n-1) = n C(2n, n+1)."""
+    n = args.n
+    return [("exponent entries", (n + 1) * 2 * n * _comb(2 * n, n + 1) * _factorial(n) * n)]
+
+
+# command: its parsed arguments -> the (kind, estimate) pairs `cli.main`
+# checks before running it
+COMMANDS = {
+    "coeff": _coeff,
+    "table": lambda args: [("grid", args.n)],
+    "gen": _gen,
+    "bernoulli": lambda args: [("Bernoulli numbers", args.count)],
+    "invariant": _invariant,
+    "verify identities": lambda args: [("series order", args.order)],
+    "verify mvp": _mvp,
+    "verify dimension": lambda args: [("dimension", args.n)],
+    "verify annihilation": _annihilation,
+    "verify routes": lambda args: [("grid", args.n_max)],
+}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from . import cost
 from .invariants import fundamental_alternating, skeleton_invariant
 from .linalg import RowBasis
 from .multipoly import MultiPoly, grlex_key
@@ -28,10 +29,7 @@ __all__ = [
     "apply_as_operator",
     "HarmonicBasisReport",
     "harmonic_basis_report",
-    "DIMENSION_GUARD",
 ]
-
-DIMENSION_GUARD = 3  # derivative-module work beyond this needs an explicit opt-in
 
 
 def skeleton_average(f, n, k):
@@ -114,12 +112,9 @@ def _independent_subset(polys):
 
 def harmonic_basis(n, allow_large=False):
     """Layers of a basis of the span of all derivatives of the alternating
-    polynomial, from top degree n**2 down to the constants."""
-    if n > DIMENSION_GUARD and not allow_large:
-        raise ValueError(
-            f"derivative-module computation beyond n = {DIMENSION_GUARD} must be"
-            " requested explicitly"
-        )
+    polynomial, from top degree n**2 down to the constants.  Past the
+    "dimension" limit of `cost.LIMITS` only with `allow_large`."""
+    cost.check("dimension", n, allow_large)
     layers = []
     current = [fundamental_alternating(n)]
     while current:

@@ -7,6 +7,8 @@ order so repeated runs emit identical bytes.
 
 from fractions import Fraction
 
+from .unipoly import signed_sum
+
 __all__ = ["MultiPoly", "grlex_key"]
 
 
@@ -143,29 +145,9 @@ class MultiPoly:
         return cls(nvars, {tuple(e): Fraction(s) for e, s in obj})
 
     def pretty(self, names=None):
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.nvars)]
-        parts = []
-        for exps, c in self.canonical_items():
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(
+            (c, "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e))
+            for exps, c in self.canonical_items()
+        )

@@ -130,26 +130,28 @@ class UniPoly:
         return [str(c) for c in self.coeffs]
 
     def pretty(self, var="t"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if power == 0:
-                body = str(mag)
-            else:
-                tpow = var if power == 1 else f"{var}^{power}"
-                body = tpow if mag == 1 else f"{mag}*{tpow}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(
+            (c, "" if power == 0 else var if power == 1 else f"{var}^{power}")
+            for power, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
+
+
+def signed_sum(terms):
+    """Text of a sum of (coefficient, monomial) terms, the monomial "" for 1.
+
+    The first term carries only a minus sign, the others are joined by
+    " + " or " - ", and a unit coefficient is left out before a monomial.
+    """
+    text = ""
+    for c, mono in terms:
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if text:
+            text += (" - " if c < 0 else " + ") + body
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
 
 
 def binomial_poly(d):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cubeharm.cli import TABLE_MAX_N, emit_table, main
+from cubeharm.cli import emit_table, main
+from cubeharm.cost import LIMITS
 from cubeharm.multipoly import MultiPoly
 
 
@@ -82,7 +83,7 @@ class TestTableCommand:
         assert emit_table(3, "csv") == emit_table(3, "csv")
 
     def test_bound(self, capsys):
-        code, _, err = run(capsys, "table", "--n", str(TABLE_MAX_N + 1))
+        code, _, err = run(capsys, "table", "--n", str(LIMITS["grid"][0] + 1))
         assert code == 2
         assert "error" in err
 
@@ -107,6 +108,12 @@ class TestGenCommand:
         code, _, err = run(capsys, "gen", "--m", "2", "--n", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("what", ["G", "Ghat", "F"])
+    def test_explicit_zero_n_is_not_the_default(self, capsys, what):
+        code, out, err = run(capsys, "gen", "--m", "2", "--n", "0", "--what", what)
+        assert (code, out) == (2, "")
+        assert err == "error: need n >= m >= 1\n"
 
 
 class TestBernoulliCommand:
@@ -219,7 +226,7 @@ class TestVerifyCommands:
     def test_dimension_guard(self, capsys):
         code, _, err = run(capsys, "verify", "dimension", "--n", "4")
         assert code == 2
-        assert "explicitly" in err
+        assert "--allow-large" in err
 
     def test_annihilation(self, capsys):
         code, out, _ = run(capsys, "verify", "annihilation", "--n", "2")

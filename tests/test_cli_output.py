@@ -1,11 +1,20 @@
 """The CLI's output path: golden bytes, the --out file and the cached parser."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cubeharm.cli import main
+from cubeharm import cost
+from cubeharm.cli import build_parser, main
+from cubeharm.coefficients import ROUTES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
@@ -57,7 +66,7 @@ class TestParserReuse:
         assert code == 0 and "dimension 384" in out
         code, out, err = run(capsys, "verify", "dimension", "--n", "4")
         assert code == 2
-        assert out == "" and "explicitly" in err
+        assert out == "" and "--allow-large" in err
 
     def test_format_does_not_stick(self, capsys):
         cell = ["coeff", "--n", "3", "--m", "2", "--k", "1", "--route", "young"]
@@ -113,3 +122,140 @@ def test_partition_route_with_many_parts(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == f"{route:<12} {value}\n"
+
+
+# Each ran for more than 10 s before the cost policy refused it.
+TOO_LARGE = [
+    "verify mvp --n 10 --k 2",
+    "invariant --n 7 --m 14 --k 7",
+    "invariant --n 9 --m 12 --k 3 --what h",
+    "gen --m 200",
+    "verify identities --order 100000",
+    "coeff --n 8 --m 8 --k 4 --route matrix",
+    "coeff --n 200 --m 150 --k 20 --route generating",
+    "coeff --n 300 --m 200 --k 100 --route partition",
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE)
+def test_large_request_is_refused_at_once(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    began = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "cubeharm", *argv.split()],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    elapsed = time.perf_counter() - began
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "--allow-large" in done.stderr
+    assert elapsed < 1
+
+
+# The library call each refused command starts its work with; a coeff
+# command starts with its route.
+STARTS = {
+    "verify mvp --n 10 --k 2": "cubeharm.invariants.fundamental_alternating",
+    "invariant --n 7 --m 14 --k 7": "cubeharm.invariants.skeleton_invariant",
+    "invariant --n 9 --m 12 --k 3 --what h": "cubeharm.invariants.flag_moment",
+    "gen --m 200": "cubeharm.generating.lifted_generating_poly",
+    "verify identities --order 100000": "cubeharm.generating.identity_report",
+}
+
+
+class Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE)
+def test_allow_large_starts_the_work(monkeypatch, argv):
+    def started(*args):
+        raise Started
+
+    words = argv.split()
+    if words[0] == "coeff":
+        monkeypatch.setitem(ROUTES, words[-1], started)
+    else:
+        monkeypatch.setattr(STARTS[argv], started)
+    with pytest.raises(Started):
+        main([*words, "--allow-large"])
+
+
+# One small command per kind of check in the cost table; "{f}" stands for
+# a polynomial file, whose averaging is checked once it is read.
+CHECKED = [
+    ("grid", "table --n 2"),
+    ("grid", "verify routes --n-max 2"),
+    ("oracle", "coeff --n 2 --m 1 --k 1 --route oracle"),
+    ("dimension", "verify dimension --n 2"),
+    ("factorial", "coeff --n 3 --m 2 --k 3 --route extremal"),
+    ("fiber DP", "coeff --n 3 --m 2 --k 1 --route matrix"),
+    ("fiber DP", "invariant --n 3 --k 1 --m 4 --what g"),
+    ("partition DP", "coeff --n 3 --m 2 --k 1 --route partition"),
+    ("Young diagrams", "coeff --n 3 --m 2 --k 1 --route young"),
+    ("lift", "gen --m 2 --n 4 --what F"),
+    ("generating family", "coeff --n 3 --m 2 --k 1 --route generating"),
+    ("recursion table", "coeff --n 3 --m 2 --k 1 --route recursion"),
+    ("Bernoulli numbers", "bernoulli --count 3"),
+    ("series order", "verify identities --order 8"),
+    ("averaging", "verify mvp --n 2 --k 1"),
+    ("averaging", "verify mvp --n 2 --k 1 --f {f}"),
+    ("exponent entries", "invariant --n 3 --k 1 --m 2"),
+    ("exponent entries", "verify annihilation --n 2"),
+]
+
+
+def test_every_check_in_the_table_is_exercised():
+    checks = {kind for kind in cost.LIMITS if not kind.endswith(" sweep")}
+    assert {kind for kind, _ in CHECKED} == checks
+
+
+@pytest.mark.parametrize("kind, argv", CHECKED, ids=[argv for _, argv in CHECKED])
+def test_allow_large_lifts_a_lowered_limit(capsys, monkeypatch, tmp_path, kind, argv):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(GOLDEN["poly"]))
+    argv = [str(poly) if a == "{f}" else a for a in argv.split()]
+    expected = run(capsys, *argv)
+    assert expected[2] == ""
+    monkeypatch.setitem(cost.LIMITS, kind, (0, cost.LIMITS[kind][1]))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "--allow-large" in err
+    assert run(capsys, *argv, "--allow-large") == expected
+
+
+def _commands(parser, path=()):
+    """(name path, parser) of every command below `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _commands(child, path + (name,))
+
+
+COMMANDS = list(_commands(build_parser()))
+
+
+@pytest.mark.parametrize("path, parser", COMMANDS, ids=[" ".join(p) for p, _ in COMMANDS])
+def test_every_command_has_the_flag_and_a_cost(path, parser):
+    """A new command cannot skip the policy: it needs --allow-large and an
+    entry in the cost table, and its smallest invocation must name only
+    checks from the table, each within its limit."""
+    assert any("--allow-large" in a.option_strings for a in parser._actions)
+    assert " ".join(path) in cost.COMMANDS
+    required = [a.option_strings[0] for a in parser._actions if a.required]
+    args = build_parser().parse_args([*path, *(x for opt in required for x in (opt, "1"))])
+    assert args.costs is cost.COMMANDS[" ".join(path)]
+    costs = args.costs(args)
+    assert costs
+    for kind, estimate in costs:
+        assert kind in cost.LIMITS and not kind.endswith(" sweep")
+        assert estimate <= cost.LIMITS[kind][0]
+
+
+def test_every_route_has_a_cost():
+    assert set(cost.ROUTE_COSTS) == set(ROUTES)

@@ -22,7 +22,8 @@ import functools
 import io
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from decimal import Context
 from fractions import Fraction
 from math import factorial
 
@@ -36,12 +37,17 @@ from .multipoly import MultiPoly
 __all__ = ["emit_table", "main"]
 
 FORMATS = ("text", "csv", "json")
+INPUT_DIGITS = 4300  # digits an integer in an input file may have (Python's default bound)
 
 
 def _fraction_text(value):
     if value.denominator == 1:
         return str(value)
-    return f"{value} (~= {float(value):.6g})"
+    try:
+        approx = float(value)
+    except OverflowError:  # past the float range: a decimal quotient instead
+        approx = Context(prec=6).divide(value.numerator, value.denominator).normalize()
+    return f"{value} (~= {approx:.6g})"
 
 
 def _render(fmt, doc, header, rows, text_lines):
@@ -186,6 +192,22 @@ def cmd_verify_identities(args):
     )
 
 
+@contextmanager
+def _int_digits(limit):
+    """Set Python's limit on int-string conversion (0: none) inside the
+    block, then restore the caller's value; where Python has no such
+    limit, do nothing."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _load_poly(path, n):
     with open(path) as handle:
         data = json.load(handle)
@@ -219,7 +241,8 @@ def _load_poly(path, n):
 
 def cmd_verify_mvp(args):
     if args.poly_file:
-        f = _load_poly(args.poly_file, args.n)
+        with _int_digits(INPUT_DIGITS):
+            f = _load_poly(args.poly_file, args.n)
         cost.check("averaging", cost.averaging(f.terms), args.allow_large)
         label = args.poly_file
     else:
@@ -350,7 +373,8 @@ def main(argv=None):
     try:
         for kind, estimate in args.costs(args):
             cost.check(kind, estimate, args.allow_large)
-        text, code = args.handler(args)
+        with _int_digits(0):  # an exact result may have any number of digits
+            text, code = args.handler(args)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
             sink.write(text)
     except (ValueError, OSError, invariants.TermBudgetExceeded) as exc:

@@ -93,13 +93,21 @@ def _partitions(m):
     return min(int(exp(pi * sqrt(2 * m / 3)) / (4 * sqrt(3) * m)) + 1, HUGE)
 
 
-def _fiber_dp(n, m, k):
-    """Steps of `combinat.fiber_weight` over the C(m+n-1, n-1) fibers of
-    column sums 2 nu: C(2m+K, K) row sums on K + 1 = min(k+1, n) rows,
-    over n - K columns.  Fitted to the steps counted on every cell with
-    n <= 7, and on n = 8 as far as it ran, within a factor of 2.4."""
+def _fiber_dp(n, total, k, step):
+    """Work of `combinat.fiber_weight` over the C(total/step + n-1, n-1)
+    fibers of column sums step * nu, nu a composition of total / step.
+    A fiber takes C(total+K, K) row sums on K + 1 = min(k+1, n) rows over
+    n - K columns, in integers of about total log(total) bits: a step
+    counts 1 + total // 50 times, and the closing factorial products and
+    divisions of a fiber (total // 50)**2 times.  The step count is fitted
+    to the steps counted on every cell with n <= 7: within a factor of
+    2.4 for step 2 (g, tau and the matrix route; and on n = 8 as far as
+    it ran), and 0.50-2.14 times the estimate for step 1 (h, 1 <= m <= 2n,
+    or m <= 400 for n <= 2, where the limit admits it)."""
     rows = max(0, min(k, n - 1))
-    return _comb(m + n - 1, n - 1) * (n - rows) * _comb(2 * m + rows, rows)
+    size = max(total, 0) // 50
+    steps = (n - rows) * _comb(total + rows, rows)
+    return _comb(total // step + n - 1, n - 1) * (steps * (1 + size) + size * size)
 
 
 def _recursion_cells(n, m):
@@ -109,7 +117,7 @@ def _recursion_cells(n, m):
 
 # route: (n, m, k) -> the (kind, estimate) pairs of one coefficient
 ROUTE_COSTS = {
-    "matrix": lambda n, m, k: [("fiber DP", _fiber_dp(n, m, k))],
+    "matrix": lambda n, m, k: [("fiber DP", _fiber_dp(n, 2 * m, k, 2))],
     "partition": lambda n, m, k: [("partition DP", n * (m + 1) ** 3)],
     # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
     "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", m * n * n)],
@@ -134,26 +142,19 @@ def _gen(args):
 
 
 def _invariant(args):
-    """Exponent entries the invariant polynomial writes, and for g and tau
-    the fiber DP of their even part."""
+    """Exponent entries the invariant polynomial writes, and for h, g and
+    tau the fiber DP that gives their coefficients: one fiber per term,
+    over the column total m (h) or 2 (m/2) (g and tau)."""
     what, n, m, k = args.what, args.n, args.m, args.k
     if what == "delta":
         # C(n, 2) products, each at most doubling the terms up to n!
         return [("exponent entries", _factorial(n) * n**3)]
     if what == "e":
         return [("exponent entries", _comb(n, m) * n)]
-    if what == "h":
-        # each ordered split of m over the k + 1 arguments is a product of
-        # up to m factors with up to C(m+n-1, n-1) terms; n suffix sums
-        parts = max(1, min(k + 1, n))
-        splits = _comb(m + parts - 1, parts - 1)
-        return [("exponent entries", splits * _comb(m + n - 1, n - 1) * n * max(m, 1) + n * n)]
-    half = m // 2 if m % 2 == 0 else -1  # an odd degree is zero at once
-    entries = n * (k + 1)
-    if what == "tau":
-        # each orbit of exponent vectors is spread over n! permutations
-        entries += _partitions(half) * _factorial(n) * n
-    return [("fiber DP", _fiber_dp(n, half, k)), ("exponent entries", entries)]
+    step = 1 if what == "h" else 2
+    total = m if m % step == 0 else -step  # an odd degree is zero at once
+    terms = _comb(total // step + n - 1, n - 1)
+    return [("fiber DP", _fiber_dp(n, total, k, step)), ("exponent entries", terms * n)]
 
 
 def averaging(exponents):

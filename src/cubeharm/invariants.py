@@ -1,18 +1,24 @@
-"""Symbolic construction of the cube-skeleton invariant polynomials.
+"""The cube-skeleton invariant polynomials, all from one staircase fiber sum.
 
-The chain goes: complete homogeneous polynomials of suffix sums, their
-even part under sign flips (computed through the staircase-matrix sum,
-which avoids the 2**n blowup), and finally the full hyperoctahedral
-average.  Expanding that average in the elementary symmetric basis of
-the squared variables yields the leading coefficients that every other
-computation route must reproduce.
+The flag moment h (`flag_moment`) is the complete homogeneous polynomial
+of degree m in the first k + 1 flag sums T_i = x_i + ... + x_n.  By the
+multinomial theorem each product prod T_i**R_i contributes
+prod R_i! / prod e! for every staircase matrix with row sums R and
+column sums a, so the coefficient of x**a in h is the staircase weight
+summed over the fiber of a, `combinat.fiber_weight(n, k, a)`.  The even
+part g (`flag_moment_even`) keeps the fibers whose column sums are all
+even.  The skeleton invariant tau (`skeleton_invariant`) is the average
+of h over the hyperoctahedral group: the sign flips give g, and the
+permutations of the variables give each exponent vector the mean of g
+over its orbit, which is a set of compositions listed once each.
+Expanding tau in the elementary symmetric basis of the squared variables
+yields the leading coefficients that every other computation route must
+reproduce.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 
 from .combinat import compositions, fiber_weight, young_diagrams
 from .linalg import solve_or_rank
@@ -21,12 +27,9 @@ from .multipoly import MultiPoly, grlex_key
 __all__ = [
     "TERM_BUDGET",
     "TermBudgetExceeded",
-    "complete_homogeneous",
-    "suffix_sums",
     "flag_moment",
     "flag_moment_even",
     "skeleton_invariant",
-    "symmetrize_over_permutations",
     "elementary_symmetric_squares",
     "fundamental_alternating",
     "InvariantExpansion",
@@ -47,112 +50,54 @@ def _check_budget(npolys_terms):
         )
 
 
-def complete_homogeneous(degree, args):
-    """Sum over ordered degree splittings of products args[0]**m0 * ... .
-
-    This is the complete homogeneous symmetric polynomial when the
-    arguments are distinct variables.
-    """
-    args = list(args)
-    if not args:
-        raise ValueError("need at least one argument polynomial")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    nvars = args[0].nvars
-    if any(p.nvars != nvars for p in args):
-        raise ValueError("argument variable counts differ")
-    powers = []
-    for p in args:
-        cache = [MultiPoly.constant(nvars, 1)]
-        for _ in range(degree):
-            cache.append(cache[-1] * p)
-        powers.append(cache)
-    total = MultiPoly.zero(nvars)
-    for split in compositions(degree, len(args)):
-        term = MultiPoly.constant(nvars, 1)
-        for cache, e in zip(powers, split):
-            if e:
-                term = term * cache[e]
-        total = total + term
-        _check_budget(len(total.terms))
-    return total
-
-
-def suffix_sums(n):
-    """The polynomials x_i + x_{i+1} + ... + x_n for i = 1..n."""
-    sums = []
-    acc = MultiPoly.zero(n)
-    for i in range(n - 1, -1, -1):
-        acc = acc + MultiPoly.variable(n, i)
-        sums.append(acc)
-    sums.reverse()
-    return sums
+def _fiber_sums(n, k, m, step):
+    """Map each exponent vector of degree m whose entries are multiples of
+    `step` to its staircase fiber sum: the coefficients of h (step 1) or
+    g (step 2).  No vector qualifies when `step` does not divide m."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if m < 0:
+        raise ValueError("need m >= 0")
+    if m % step:
+        return {}
+    vectors = (tuple(step * v for v in nu) for nu in compositions(m // step, n))
+    return {a: fiber_weight(n, k, a) for a in vectors}
 
 
 def flag_moment(n, k, m):
-    """Complete homogeneous polynomial of the first k+1 suffix sums.
+    """Complete homogeneous polynomial of degree m in the first k+1 flag sums.
 
     For k = n the extra argument is the empty sum, so the value matches
     k = n - 1.
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    tails = suffix_sums(n)
-    args = [tails[i] for i in range(min(k + 1, n))]
-    if k == n:
-        args.append(MultiPoly.zero(n))
-    return complete_homogeneous(m, args)
+    return MultiPoly(n, _fiber_sums(n, k, m, 1))
 
 
 def flag_moment_even(n, k, m):
-    """Even part (under all sign flips) of flag_moment, by the staircase sum.
-
-    The monomial with even exponents 2 nu (nu adding to m/2) has as its
-    coefficient the summed staircase weight of the matrices with column
-    sums 2 nu, summed by `fiber_weight`.  Odd m gives zero.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if m % 2:
-        return MultiPoly.zero(n)
-    coeffs = {}
-    for nu in compositions(m // 2, n):
-        colsums = tuple(2 * v for v in nu)
-        coeffs[colsums] = fiber_weight(n, k, colsums)
-    return MultiPoly(n, coeffs)
-
-
-def symmetrize_over_permutations(poly):
-    """Average of a polynomial over all permutations of its variables.
-
-    Works orbit by orbit on the exponent vectors instead of summing n!
-    substitution images; the result is identical.
-    """
-    n = poly.nvars
-    orbits = {}
-    for exps, c in poly.terms.items():
-        key = tuple(sorted(exps, reverse=True))
-        orbits[key] = orbits.get(key, Fraction(0)) + c
-    nfact = factorial(n)
-    out = {}
-    for key, total in orbits.items():
-        if not total:
-            continue
-        stabilizer = 1
-        for count in Counter(key).values():
-            stabilizer *= factorial(count)
-        weight = total * Fraction(stabilizer, nfact)
-        for arrangement in set(permutations(key)):
-            out[arrangement] = out.get(arrangement, Fraction(0)) + weight
-    return MultiPoly(n, out)
+    """Even part (under all sign flips) of flag_moment: its monomials with
+    even exponents.  Odd m gives zero."""
+    return MultiPoly(n, _fiber_sums(n, k, m, 2))
 
 
 def skeleton_invariant(n, k, degree):
     """Full hyperoctahedral average of flag_moment: a homogeneous invariant.
 
-    Zero for odd degree.  The value for k = n coincides with k = n - 1.
+    Each coefficient is the mean of flag_moment_even over the orbit of
+    its exponent vector under permuting the variables.  Zero for odd
+    degree.  The value for k = n coincides with k = n - 1.
     """
-    return symmetrize_over_permutations(flag_moment_even(n, k, degree))
+    weights = _fiber_sums(n, k, degree, 2)
+    orbits = {}
+    for exps in weights:
+        orbits.setdefault(tuple(sorted(exps)), []).append(exps)
+    terms = {}
+    for members in orbits.values():
+        mean = Fraction(sum(weights[a] for a in members), len(members))
+        for exps in members:
+            terms[exps] = mean
+    return MultiPoly(n, terms)
 
 
 def elementary_symmetric_squares(n, m):

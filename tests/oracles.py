@@ -1,15 +1,21 @@
 """Reference code the tests compare the program against.
 
 None of it runs in production: the differential-difference route to the
-Bernstein family, the signed permutation of variables that defines the
-hyperoctahedral averages, and the rebuilding of an invariant from its
-elementary-basis expansion.
+Bernstein family, the symbolic expansion of complete homogeneous
+polynomials of the suffix sums, the signed permutation of variables and
+the orbit-by-orbit permutation average that define the hyperoctahedral
+averages, and the rebuilding of an invariant from its elementary-basis
+expansion.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 from cubeharm.bernoulli import scaled_bernoulli
-from cubeharm.invariants import elementary_symmetric_squares
+from cubeharm.combinat import compositions
+from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly
 from cubeharm.unipoly import UniPoly
 
@@ -51,6 +57,73 @@ def bernstein_from_ode(m, prev):
             f" expected {expected0}"
         )
     return result
+
+
+def complete_homogeneous(degree, args):
+    """Sum over ordered degree splittings of products args[0]**m0 * ... .
+
+    This is the complete homogeneous symmetric polynomial when the
+    arguments are distinct variables.
+    """
+    args = list(args)
+    if not args:
+        raise ValueError("need at least one argument polynomial")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    nvars = args[0].nvars
+    if any(p.nvars != nvars for p in args):
+        raise ValueError("argument variable counts differ")
+    powers = []
+    for p in args:
+        cache = [MultiPoly.constant(nvars, 1)]
+        for _ in range(degree):
+            cache.append(cache[-1] * p)
+        powers.append(cache)
+    total = MultiPoly.zero(nvars)
+    for split in compositions(degree, len(args)):
+        term = MultiPoly.constant(nvars, 1)
+        for cache, e in zip(powers, split):
+            if e:
+                term = term * cache[e]
+        total = total + term
+        _check_budget(len(total.terms))
+    return total
+
+
+def suffix_sums(n):
+    """The polynomials x_i + x_{i+1} + ... + x_n for i = 1..n."""
+    sums = []
+    acc = MultiPoly.zero(n)
+    for i in range(n - 1, -1, -1):
+        acc = acc + MultiPoly.variable(n, i)
+        sums.append(acc)
+    sums.reverse()
+    return sums
+
+
+def symmetrize_over_permutations(poly):
+    """Average of a polynomial over all permutations of its variables.
+
+    Works orbit by orbit on the exponent vectors instead of summing n!
+    substitution images; the result is identical.
+    """
+    n = poly.nvars
+    orbits = {}
+    for exps, c in poly.terms.items():
+        key = tuple(sorted(exps, reverse=True))
+        orbits[key] = orbits.get(key, Fraction(0)) + c
+    nfact = factorial(n)
+    out = {}
+    for key, total in orbits.items():
+        if not total:
+            continue
+        stabilizer = 1
+        for count in Counter(key).values():
+            stabilizer *= factorial(count)
+        weight = total * Fraction(stabilizer, nfact)
+        for arrangement in set(permutations(key)):
+            out[arrangement] = out.get(arrangement, Fraction(0)) + weight
+    return MultiPoly(n, out)
 
 
 def signed_permute(poly, signs=None, perm=None):

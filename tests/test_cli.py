@@ -154,6 +154,18 @@ class TestInvariantCommand:
         code, _, err = run(capsys, "invariant", "--n", "2", "--m", "3", "--what", "e")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "0"], "need n >= 1"),
+            (["--n", "3", "--m", "-4", "--what", "g"], "need m >= 0"),
+            (["--n", "3", "--m", "-1", "--what", "h"], "need m >= 0"),
+        ],
+        ids=["tau-n-0", "g-negative-m", "h-negative-m"],
+    )
+    def test_each_input_check_names_its_bound(self, capsys, argv, message):
+        assert run(capsys, "invariant", *argv) == (2, "", f"error: {message}\n")
+
 
 class TestVerifyCommands:
     def test_identities(self, capsys):
@@ -196,6 +208,20 @@ class TestVerifyCommands:
         code, out, err = run(capsys, "verify", "mvp", "--n", "2", "--k", "1", "--f", str(path))
         assert code == 2
         assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "term",
+        [f"[[1, 0], {'9' * 5000}]", f"[[{'9' * 5000}, 0], 1]", f'[[1, 0], "{"9" * 5000}"]'],
+        ids=["coefficient", "exponent", "coefficient-string"],
+    )
+    def test_mvp_bounds_the_digits_of_file_integers(self, capsys, tmp_path, term):
+        """Results may have any number of digits, but an input file keeps
+        Python's default bound of 4300."""
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"variables": 2, "terms": [{term}]}}')
+        code, out, err = run(capsys, "verify", "mvp", "--n", "2", "--k", "1", "--f", str(path))
+        assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(

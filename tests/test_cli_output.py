@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -124,11 +125,46 @@ def test_partition_route_with_many_parts(capsys):
         assert out == f"{route:<12} {value}\n"
 
 
-# Each ran for more than 10 s before the cost policy refused it.
+# Invariants that end in about a second: tau at n = 10 averages only the
+# distinct arrangements of each orbit, and h is one fiber sum per term.
+ADMITTED = ["invariant --n 10 --m 4 --k 3", "invariant --n 6 --m 8 --k 3 --what h"]
+
+
+@pytest.mark.parametrize("argv", ADMITTED)
+def test_fiber_sum_invariants_run_without_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+@pytest.mark.parametrize(
+    "argv", ["gen --m 1 --n 2500", "coeff --n 3000 --m 150 --k 3000 --route extremal"]
+)
+def test_results_past_the_int_string_limit(capsys, argv):
+    """A result longer than Python's int-string limit prints in full, and
+    the caller's limit is back in force afterwards."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        unlimited = run(capsys, *argv.split())
+        sys.set_int_max_str_digits(640)
+        assert run(capsys, *argv.split()) == unlimited
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    code, out, err = unlimited
+    assert (code, err) == (0, "")
+    assert re.search(r"\d{641}", out)
+
+
+# Each runs for more than 10 s.  The last two of the invariants have
+# few fibers but integers of thousands of digits.
 TOO_LARGE = [
     "verify mvp --n 10 --k 2",
     "invariant --n 7 --m 14 --k 7",
     "invariant --n 9 --m 12 --k 3 --what h",
+    "invariant --n 2 --m 1600 --k 1 --what g",
+    "invariant --n 2 --m 800 --k 1 --what h",
     "gen --m 200",
     "verify identities --order 100000",
     "coeff --n 8 --m 8 --k 4 --route matrix",
@@ -161,6 +197,8 @@ STARTS = {
     "verify mvp --n 10 --k 2": "cubeharm.invariants.fundamental_alternating",
     "invariant --n 7 --m 14 --k 7": "cubeharm.invariants.skeleton_invariant",
     "invariant --n 9 --m 12 --k 3 --what h": "cubeharm.invariants.flag_moment",
+    "invariant --n 2 --m 1600 --k 1 --what g": "cubeharm.invariants.flag_moment_even",
+    "invariant --n 2 --m 800 --k 1 --what h": "cubeharm.invariants.flag_moment",
     "gen --m 200": "cubeharm.generating.lifted_generating_poly",
     "verify identities --order 100000": "cubeharm.generating.identity_report",
 }

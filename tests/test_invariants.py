@@ -7,17 +7,15 @@ import pytest
 from cubeharm import invariants
 from cubeharm.combinat import compositions
 from cubeharm.invariants import (
-    complete_homogeneous,
     elementary_symmetric_squares,
     expand_in_elementary_basis,
     flag_moment,
     flag_moment_even,
     fundamental_alternating,
     skeleton_invariant,
-    suffix_sums,
 )
 from cubeharm.multipoly import MultiPoly
-from oracles import reconstruct, signed_permute
+from oracles import complete_homogeneous, reconstruct, signed_permute, suffix_sums
 from staircase import quad_matrices_with_colsums
 
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run the full verification battery through the CLI and summarize.
 
-Exits nonzero if any verification fails.  The battery runs 30 commands:
+Exits nonzero if any verification fails.  The battery runs 31 commands:
 the series identities, the route sweep up to --n-max (default 6, where
-the matrix route's fiber sums at n = 6 are the slow part), the
-derivative module and annihilation for n <= 3, the n = 4 derivative
-module and annihilation, and the mean value property of the alternating
-polynomial at every k for n <= 5.  Each command's wall time is printed
-after its output, and the battery's total at the end.
+the matrix route's fiber sums at n = 6 are the slow part), one wide cell
+(n = 40, m = 20, k = 19) on which the partition, Young, generating and
+recursion routes must agree, the derivative module and annihilation for
+n <= 3, the n = 4 derivative module and annihilation, and the mean value
+property of the alternating polynomial at every k for n <= 5.  Each
+command's wall time is printed after its output, and the battery's total
+at the end.
 """
 
 import argparse
@@ -26,6 +28,7 @@ def main():
     batches = [
         ["verify", "identities", "--order", str(args.order)],
         ["verify", "routes", "--n-max", str(args.n_max)],
+        ["coeff", "--n", "40", "--m", "20", "--k", "19", "--route", "all"],
     ]
     for n in (1, 2, 3):
         batches.append(["verify", "dimension", "--n", str(n)])

@@ -17,6 +17,7 @@ comparing against tables that use the signed convention.
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .series import TruncatedSeries
@@ -48,6 +49,7 @@ def bernoulli(m):
     return -signed if m % 2 == 0 else signed
 
 
+@lru_cache(maxsize=None)
 def scaled_bernoulli(m):
     """2**(2m-1)/(2m)! times bernoulli(m); positive for every m >= 1."""
     return Fraction(2 ** (2 * m - 1)) * bernoulli(m) / factorial(2 * m)

@@ -12,9 +12,9 @@ Routes implemented here:
   young       generating polynomial assembled over Young diagrams, summed
               per diagram length and lifted once per length
   generating  generating polynomial from the Bernoulli recursion
-  recursion   table filled in one sweep by the coefficient recursion,
-              seeded by the m = 1 row's own count and the closed forms
-              at extreme skeleton dimensions
+  recursion   table filled in one integer sweep by the coefficient
+              recursion, seeded by the m = 1 row's own count and the
+              k = 0 closed form
   oracle      symbolic expansion in the elementary basis (small n)
   extremal    closed forms alone, where applicable
 
@@ -25,7 +25,7 @@ cell.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from . import cost, generating
 from .bernoulli import scaled_bernoulli
@@ -280,41 +280,61 @@ def _degree_two_count(n, k):
     return Fraction((k + 1) * (k + 2) * (3 * n - 2 * k), 6 * n)
 
 
-def _c63_factor(n, m, k):
-    return Fraction((n - k) * (n - k - 1) * m, n * (m - 1))
-
-
 @lru_cache(maxsize=None)
 def recursion_table(n_max):
     """Fill the whole coefficient grid through the recursion, in one sweep.
 
-    The m = 1 row is counted directly by `_degree_two_count`.  Rows with
-    m >= 2 take the closed forms at k in {0, n-1, n} and are swept upward
-    in k in between, consuming the already filled (n-1, m-1) row.  Every
-    cell a closed form covers is cross-checked against it; a mismatch is
-    an internal error.
+    Each row (n, m) is swept upward in k as integer numerators over one
+    denominator.  The m = 1 row is the direct count (k+1)(k+2)(3n-2k)
+    over 6n, as in `_degree_two_count`.  A row with m >= 2 starts from
+    the closed form at k = 0, and step k adds
+
+        (n-k)(n-k-1) m ((2m+k-1) c(n-1, m-1, k) - (k+1) c(n-1, m-1, k+1))
+        / (n (m-1))
+
+    over the (n-1, m-1) row; the step is zero at k = n-1 and k = n.  The
+    row's denominator is the lcm of the step's and the seed's, so each
+    step is one integer update, and the row is reduced once at the end.
+    Every cell a closed form covers is cross-checked against it; a
+    mismatch is an internal error.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     table = {}
+    below = {}  # m -> (numerators, denominator) of the rows of n - 1
     for n in range(1, n_max + 1):
+        rows = {}
         for m in range(1, n + 1):
-            for k in range(n + 1):
-                check = closed_form(n, m, k)
-                if m == 1:
-                    value = _degree_two_count(n, k)
-                elif k in (0, n - 1, n):
-                    value = check
-                else:
-                    value = table[(n, m, k - 1)] + _c63_factor(n, m, k) * (
-                        (2 * m + k - 1) * table[(n - 1, m - 1, k)]
-                        - (k + 1) * table[(n - 1, m - 1, k + 1)]
-                    )
-                if check is not None and check != value:
+            checks = [closed_form(n, m, k) for k in range(n + 1)]
+            if m == 1:
+                den = 6 * n
+                nums = [(k + 1) * (k + 2) * (3 * n - 2 * k) for k in range(n + 1)]
+            else:
+                prev, den_below = below[m - 1]
+                seed = checks[0]
+                step_den = n * (m - 1) * den_below
+                den = lcm(step_den, seed.denominator)
+                lift = den // step_den
+                num = seed.numerator * (den // seed.denominator)
+                nums = [num]
+                for k in range(1, n + 1):
+                    if k < n - 1:
+                        num += lift * (n - k) * (n - k - 1) * m * (
+                            (2 * m + k - 1) * prev[k] - (k + 1) * prev[k + 1]
+                        )
+                    nums.append(num)
+            for k, (num, check) in enumerate(zip(nums, checks)):
+                if check is not None and check.numerator * den != num * check.denominator:
                     raise RuntimeError(
                         f"recursion sweep disagrees with closed form at ({n},{m},{k})"
                     )
-                table[(n, m, k)] = value
+            common = gcd(den, *nums)
+            den //= common
+            nums = [num // common for num in nums]
+            rows[m] = (nums, den)
+            for k, num in enumerate(nums):
+                table[(n, m, k)] = Fraction(num, den)
+        below = rows
     return table
 
 

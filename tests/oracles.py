@@ -4,8 +4,8 @@ None of it runs in production: the differential-difference route to the
 Bernstein family, the symbolic expansion of complete homogeneous
 polynomials of the suffix sums, the signed permutation of variables and
 the orbit-by-orbit permutation average that define the hyperoctahedral
-averages, and the rebuilding of an invariant from its elementary-basis
-expansion.
+averages, the rebuilding of an invariant from its elementary-basis
+expansion, and the recursion sweep in `Fraction` arithmetic.
 """
 
 from collections import Counter
@@ -14,6 +14,7 @@ from itertools import permutations
 from math import factorial
 
 from cubeharm.bernoulli import scaled_bernoulli
+from cubeharm.coefficients import _degree_two_count, closed_form
 from cubeharm.combinat import compositions
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly
@@ -160,3 +161,40 @@ def reconstruct(expansion):
     for parts, coeff in expansion.lower_terms:
         total = total + _elementary_product(n, parts) * coeff
     return total
+
+
+def _c63_factor(n, m, k):
+    return Fraction((n - k) * (n - k - 1) * m, n * (m - 1))
+
+
+def fraction_recursion_table(n_max):
+    """Fill the whole coefficient grid through the recursion, in one sweep.
+
+    The m = 1 row is counted directly by `_degree_two_count`.  Rows with
+    m >= 2 take the closed forms at k in {0, n-1, n} and are swept upward
+    in k in between, consuming the already filled (n-1, m-1) row.  Every
+    cell a closed form covers is cross-checked against it; a mismatch is
+    an internal error.
+    """
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    table = {}
+    for n in range(1, n_max + 1):
+        for m in range(1, n + 1):
+            for k in range(n + 1):
+                check = closed_form(n, m, k)
+                if m == 1:
+                    value = _degree_two_count(n, k)
+                elif k in (0, n - 1, n):
+                    value = check
+                else:
+                    value = table[(n, m, k - 1)] + _c63_factor(n, m, k) * (
+                        (2 * m + k - 1) * table[(n - 1, m - 1, k)]
+                        - (k + 1) * table[(n - 1, m - 1, k + 1)]
+                    )
+                if check is not None and check != value:
+                    raise RuntimeError(
+                        f"recursion sweep disagrees with closed form at ({n},{m},{k})"
+                    )
+                table[(n, m, k)] = value
+    return table

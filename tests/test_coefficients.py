@@ -1,4 +1,5 @@
 import cmath
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -23,6 +24,7 @@ from cubeharm.coefficients import (
     young_weight,
 )
 from cubeharm.combinat import YoungDiagram, compositions
+from oracles import fraction_recursion_table
 from staircase import quad_matrices_with_colsums
 
 
@@ -262,7 +264,15 @@ class TestRecursionTable:
 
     def test_cross_check_fires(self, monkeypatch):
         real = coefficients.closed_form
-        for cell in [(5, 1, 1), (5, 2, 3)]:
+        # a perturbed closed form at the top of a row is checked, not copied;
+        # a perturbed k = 0 seed shows at the next covered cell
+        cases = [
+            ((5, 1, 1), (5, 1, 1)),
+            ((5, 2, 3), (5, 2, 3)),
+            ((7, 4, 7), (7, 4, 7)),
+            ((6, 3, 0), (6, 3, 1)),
+        ]
+        for cell, caught in cases:
 
             def perturbed(n, m, k, cell=cell):
                 value = real(n, m, k)
@@ -271,10 +281,29 @@ class TestRecursionTable:
             monkeypatch.setattr(coefficients, "closed_form", perturbed)
             recursion_table.cache_clear()
             try:
-                with pytest.raises(RuntimeError):
-                    recursion_table(5)
+                where = "({},{},{})".format(*caught)
+                with pytest.raises(RuntimeError, match=re.escape(where)):
+                    recursion_table(cell[0])
             finally:
                 recursion_table.cache_clear()
+
+    def test_matches_fraction_sweep(self):
+        table = recursion_table(30)
+        reference = fraction_recursion_table(30)
+        assert list(table) == list(reference)
+        for cell, value in table.items():
+            assert type(value) is Fraction
+            assert value == reference[cell]
+            assert value > 0
+
+    @pytest.mark.large
+    def test_n60_positive_and_matches_generating(self):
+        table = recursion_table(60)
+        assert len(table) == 75640
+        assert all(value > 0 for value in table.values())
+        for m in range(1, 61):
+            for k in range(61):
+                assert table[(60, m, k)] == coeff_by_generating(60, m, k)
 
 
 class TestRouteIndependence:

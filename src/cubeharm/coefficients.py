@@ -36,7 +36,6 @@ from .unipoly import UniPoly, binomial_poly
 __all__ = [
     "CoefficientRecord",
     "partition_sign_weight",
-    "matrix_weight",
     "young_weight",
     "coeff_by_matrix_sum",
     "coeff_by_partition_sum",
@@ -92,30 +91,14 @@ def _sign_weight(n, m, ell):
 def _column_den(j, k, c, partial):
     """Column j's denominator in the staircase closed form.
 
-    Column j (1-based) with sum c and partial column sum `partial` up to
-    and including it contributes 1 / (c! * (partial + j)) while j <= k,
-    and 1 / c! after that.
+    The staircase weight summed over the fiber with column sums nu is
+    (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!), columns
+    past the n-th counting as empty while j <= k.  Column j (1-based)
+    with sum c and partial column sum `partial` up to and including it
+    contributes 1 / (c! * (partial + j)) while j <= k, and 1 / c! after
+    that.
     """
     return factorial(c) * (partial + j) if j <= k else factorial(c)
-
-
-def matrix_weight(n, k, nu):
-    """Weighted count of staircase matrices with column sums nu.
-
-    Closed form (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!),
-    the value of `combinat.fiber_weight` without the column-by-column sum.
-    """
-    if len(nu) != n:
-        raise ValueError("column-sum vector length must equal n")
-    if any(v < 0 for v in nu):
-        raise ValueError("column sums must be nonnegative")
-    den = 1
-    partial = 0
-    # Columns past the n-th are empty; they still count while j <= k.
-    for j, v in enumerate(tuple(nu) + (0,) * (k - n), 1):
-        partial += v
-        den *= _column_den(j, k, v, partial)
-    return Fraction(factorial(partial + k), den)
 
 
 def young_weight(k, mu):
@@ -152,9 +135,9 @@ def coeff_by_partition_sum(n, m, k):
     A dynamic program over the positions j = 1..n replaces the loop over
     the ordered partitions nu.  Its state is the partial sum S_j and the
     number l of nonzero parts so far, and each step divides by the column
-    denominator of `matrix_weight` at column sum 2 nu_j and partial sum
-    2 S_j.  The values stay integers: step j scales them all by the lcm of
-    its possible column denominators, so each division becomes an exact
+    denominator `_column_den` at column sum 2 nu_j and partial sum 2 S_j.
+    The values stay integers: step j scales them all by the lcm of its
+    possible column denominators, so each division becomes an exact
     integer multiplier.  The sign weight depends on nu only through l, so
     it is applied per l at the end, together with (2m+k)!/n!.
     """
@@ -285,9 +268,9 @@ def recursion_table(n_max):
     """Fill the whole coefficient grid through the recursion, in one sweep.
 
     Each row (n, m) is swept upward in k as integer numerators over one
-    denominator.  The m = 1 row is the direct count (k+1)(k+2)(3n-2k)
-    over 6n, as in `_degree_two_count`.  A row with m >= 2 starts from
-    the closed form at k = 0, and step k adds
+    denominator.  The m = 1 row is `_degree_two_count` over the lcm of
+    its denominators.  A row with m >= 2 starts from the closed form at
+    k = 0, and step k adds
 
         (n-k)(n-k-1) m ((2m+k-1) c(n-1, m-1, k) - (k+1) c(n-1, m-1, k+1))
         / (n (m-1))
@@ -307,8 +290,9 @@ def recursion_table(n_max):
         for m in range(1, n + 1):
             checks = [closed_form(n, m, k) for k in range(n + 1)]
             if m == 1:
-                den = 6 * n
-                nums = [(k + 1) * (k + 2) * (3 * n - 2 * k) for k in range(n + 1)]
+                row = [_degree_two_count(n, k) for k in range(n + 1)]
+                den = lcm(*(c.denominator for c in row))
+                nums = [c.numerator * (den // c.denominator) for c in row]
             else:
                 prev, den_below = below[m - 1]
                 seed = checks[0]

@@ -102,8 +102,8 @@ def fiber_weight(n, k, colsums):
     sum of the column multinomials so far; column j splits c_j over its
     first min(j+1, k+1) rows.  At the end each state is multiplied by
     prod R_i!, and the total divides exactly by prod c_j!.  This sums the
-    terms of the matrix-by-matrix enumeration, never the closed form
-    `coefficients.matrix_weight`.
+    terms of the matrix-by-matrix enumeration, never the staircase closed
+    form (`tests/oracles.py` keeps that as `matrix_weight`).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")

@@ -98,16 +98,21 @@ def _fiber_dp(n, total, k, step):
     fibers of column sums step * nu, nu a composition of total / step.
     A fiber takes C(total+K, K) row sums on K + 1 = min(k+1, n) rows over
     n - K columns, in integers of about total log(total) bits: a step
-    counts 1 + total // 50 times, and the closing factorial products and
-    divisions of a fiber (total // 50)**2 times.  The step count is fitted
-    to the steps counted on every cell with n <= 7: within a factor of
-    2.4 for step 2 (g, tau and the matrix route; and on n = 8 as far as
-    it ran), and 0.50-2.14 times the estimate for step 1 (h, 1 <= m <= 2n,
-    or m <= 400 for n <= 2, where the limit admits it)."""
+    counts 1 + total // 25 times, and the closing factorial products and
+    divisions of a fiber (total // 25)**2 times.  Each fiber also costs
+    3n steps whatever its column sums: it builds each column's splits and
+    multinomials, and closes with a factorial per row and a division per
+    column, which at k = 0 (one split per column) is three times its
+    state steps.  The state steps were fitted to those counted on every
+    cell with n <= 7 (within a factor of 2.4), but undercount large
+    column sums at K >= 2 (5.4 times at n = 4, K = 2, total 38), which the
+    size factor covers.  Timed on a 2-core machine, the slowest admitted
+    invariant with n <= 5 at the largest m the limit admits ran 6 s."""
     rows = max(0, min(k, n - 1))
-    size = max(total, 0) // 50
+    size = max(total, 0) // 25
     steps = (n - rows) * _comb(total + rows, rows)
-    return _comb(total // step + n - 1, n - 1) * (steps * (1 + size) + size * size)
+    fiber = steps * (1 + size) + size * size + 3 * n
+    return _comb(total // step + n - 1, n - 1) * fiber
 
 
 def _recursion_cells(n, m):

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .combinat import compositions, fiber_weight, young_diagrams
 from .linalg import solve_or_rank
-from .multipoly import MultiPoly, grlex_key
+from .multipoly import MultiPoly
 
 __all__ = [
     "TERM_BUDGET",
@@ -165,10 +165,7 @@ def expand_in_elementary_basis(n, m, k):
     basis_polys = [_elementary_product(n, parts) for parts in basis_parts]
     _check_budget(sum(len(p.terms) for p in basis_polys) + len(target.terms))
 
-    support = set(target.terms)
-    for p in basis_polys:
-        support.update(p.terms)
-    support = sorted(support, key=grlex_key)
+    support = dict.fromkeys(mono for p in [target, *basis_polys] for mono in p.terms)
     matrix = [[p.terms.get(mono, Fraction(0)) for p in basis_polys] for mono in support]
     rhs = [target.terms.get(mono, Fraction(0)) for mono in support]
     solution = solve_or_rank(matrix, rhs)

@@ -1,10 +1,13 @@
 """Exact elimination over the rationals, on one sparse kernel.
 
 `RowBasis` is the one elimination kernel: an incremental echelon basis
-whose pivot rows are sparse.  `solve_or_rank` fills a `RowBasis` and
-reads from it the rank, or the unique solution of an augmented system.
-Solving reports inconsistency and underdetermination through dedicated
-exceptions so callers can tell a bad system apart from an internal bug.
+whose rows are sparse mappings {column: value}.  A column is any key
+that compares with the other columns, such as an int or an exponent
+tuple, so a polynomial's terms are a row as they stand.  Dense rows
+enter only through `solve_or_rank`, which fills a `RowBasis` with an
+augmented system and reads its unique solution.  Solving reports
+inconsistency and underdetermination through dedicated exceptions so
+callers can tell a bad system apart from an internal bug.
 """
 
 from fractions import Fraction
@@ -30,29 +33,24 @@ class UnderdeterminedSystemError(LinearSystemError):
     """The system has more than one solution."""
 
 
-def solve_or_rank(matrix, rhs=None):
-    """Return the rank of `matrix`, or the unique solution of matrix * x = rhs.
+def solve_or_rank(matrix, rhs):
+    """Return the unique solution of matrix * x = rhs for dense rows.
 
     Raises InconsistentSystemError when no solution exists and
     UnderdeterminedSystemError when the solution is not unique.
     """
     rows = list(matrix)
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
-    if rhs is None:
-        basis = RowBasis(ncols)
-        for row in rows:
-            basis.add(row)
-        return basis.rank
     if not rows:
         raise ValueError("cannot solve an empty system")
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
     if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
 
-    basis = RowBasis(ncols + 1)
+    basis = RowBasis()
     for row, b in zip(rows, rhs):
-        basis.add([*row, b])
+        basis.add(dict(enumerate([*row, b])))
     pivots = basis._pivots
     if ncols in pivots:
         raise InconsistentSystemError("no solution")
@@ -68,21 +66,19 @@ def solve_or_rank(matrix, rhs=None):
 
 
 class RowBasis:
-    """Incrementally maintained row-echelon basis of rational row vectors.
+    """Incrementally maintained row-echelon basis of sparse rational rows.
 
-    Rows come in dense; each pivot row is kept sparse, as
-    {column: Fraction} with its leading entry 1.
+    A row is a mapping {column: value}; zero values are dropped and ints
+    become Fractions.  Each pivot row is kept with its leading entry,
+    the least column, equal to 1.
     """
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self._pivots = {}  # leading column -> normalized reduced sparse row
 
     def _reduce(self, row):
         """Sparse remainder of `row` after elimination against the pivots."""
-        if len(row) != self.width:
-            raise ValueError("row width mismatch")
-        work = {i: c if isinstance(c, Fraction) else Fraction(c) for i, c in enumerate(row) if c}
+        work = {j: c if isinstance(c, Fraction) else Fraction(c) for j, c in row.items() if c}
         for col in sorted(self._pivots):
             factor = work.get(col)
             if factor:
@@ -105,6 +101,7 @@ class RowBasis:
         return True
 
     def contains(self, row):
+        """Whether `row` lies in the span of the basis."""
         return not self._reduce(row)
 
     @property

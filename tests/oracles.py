@@ -5,7 +5,8 @@ Bernstein family, the symbolic expansion of complete homogeneous
 polynomials of the suffix sums, the signed permutation of variables and
 the orbit-by-orbit permutation average that define the hyperoctahedral
 averages, the rebuilding of an invariant from its elementary-basis
-expansion, and the recursion sweep in `Fraction` arithmetic.
+expansion, the recursion sweep in `Fraction` arithmetic, the staircase
+closed form, and elimination on dense rows.
 """
 
 from collections import Counter
@@ -17,7 +18,7 @@ from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import _degree_two_count, closed_form
 from cubeharm.combinat import compositions
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
-from cubeharm.multipoly import MultiPoly
+from cubeharm.multipoly import MultiPoly, grlex_key
 from cubeharm.unipoly import UniPoly
 
 
@@ -198,3 +199,49 @@ def fraction_recursion_table(n_max):
                     )
                 table[(n, m, k)] = value
     return table
+
+
+def matrix_weight(n, k, nu):
+    """Weighted count of staircase matrices with column sums nu.
+
+    Closed form (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!),
+    the value of `combinat.fiber_weight` without the column-by-column sum.
+    """
+    if len(nu) != n:
+        raise ValueError("column-sum vector length must equal n")
+    if any(v < 0 for v in nu):
+        raise ValueError("column sums must be nonnegative")
+    den = 1
+    partial = 0
+    # Columns past the n-th are empty; they still count while j <= k.
+    for j, v in enumerate(tuple(nu) + (0,) * (k - n), 1):
+        partial += v
+        den *= factorial(v) * (partial + j if j <= k else 1)
+    return Fraction(factorial(partial + k), den)
+
+
+def dense_independent_subset(polys):
+    """Greedy maximal linearly independent subset, in input order.
+
+    Each polynomial becomes a dense row over the grlex-sorted support of
+    all of them, and is reduced against the pivot rows kept so far in
+    increasing order of their leading columns.
+    """
+    polys = [p for p in polys if not p.is_zero()]
+    support = sorted({mono for p in polys for mono in p.terms}, key=grlex_key)
+    index = {mono: i for i, mono in enumerate(support)}
+    pivots = {}  # leading column -> dense row with 1 there
+    chosen = []
+    for p in polys:
+        row = [Fraction(0)] * len(support)
+        for mono, c in p.terms.items():
+            row[index[mono]] = c
+        for col in sorted(pivots):
+            factor = row[col]
+            if factor:
+                row = [a - factor * b for a, b in zip(row, pivots[col])]
+        lead = next((i for i, c in enumerate(row) if c), None)
+        if lead is not None:
+            pivots[lead] = [c / row[lead] for c in row]
+            chosen.append(p)
+    return chosen

@@ -157,14 +157,18 @@ def test_results_past_the_int_string_limit(capsys, argv):
     assert re.search(r"\d{641}", out)
 
 
-# Each runs for more than 10 s.  The last two of the invariants have
-# few fibers but integers of thousands of digits.
+# Each runs for about 10 s or more.  Of the invariants, the two at n = 2
+# have few fibers but integers of thousands of digits, and the three at
+# n = 4 and 5 many fibers that each cost more than their state steps.
 TOO_LARGE = [
     "verify mvp --n 10 --k 2",
     "invariant --n 7 --m 14 --k 7",
     "invariant --n 9 --m 12 --k 3 --what h",
     "invariant --n 2 --m 1600 --k 1 --what g",
     "invariant --n 2 --m 800 --k 1 --what h",
+    "invariant --n 4 --m 38 --k 2 --what g",
+    "invariant --n 5 --m 49 --k 0 --what h",
+    "invariant --n 5 --m 96 --k 0 --what g",
     "gen --m 200",
     "verify identities --order 100000",
     "coeff --n 8 --m 8 --k 4 --route matrix",
@@ -199,6 +203,9 @@ STARTS = {
     "invariant --n 9 --m 12 --k 3 --what h": "cubeharm.invariants.flag_moment",
     "invariant --n 2 --m 1600 --k 1 --what g": "cubeharm.invariants.flag_moment_even",
     "invariant --n 2 --m 800 --k 1 --what h": "cubeharm.invariants.flag_moment",
+    "invariant --n 4 --m 38 --k 2 --what g": "cubeharm.invariants.flag_moment_even",
+    "invariant --n 5 --m 49 --k 0 --what h": "cubeharm.invariants.flag_moment",
+    "invariant --n 5 --m 96 --k 0 --what g": "cubeharm.invariants.flag_moment_even",
     "gen --m 200": "cubeharm.generating.lifted_generating_poly",
     "verify identities --order 100000": "cubeharm.generating.identity_report",
 }

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeharm.coefficients import matrix_weight
 from cubeharm.combinat import YoungDiagram, compositions, fiber_weight, young_diagrams
+from oracles import matrix_weight
 from staircase import (
     QuadMatrix,
     count_compositions,

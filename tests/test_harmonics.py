@@ -17,6 +17,7 @@ from cubeharm.harmonics import (
 from cubeharm.invariants import fundamental_alternating, skeleton_invariant
 from cubeharm.multipoly import MultiPoly
 from faces import cube_faces, face_walk_average
+from oracles import dense_independent_subset
 
 
 def small_polys(nvars=2):
@@ -146,6 +147,17 @@ class TestMeanValue:
         for k in range(6):
             assert mean_value_report(d5, 5, k).holds
 
+def dense_harmonic_basis(n):
+    """The layers of `harmonic_basis`, each chosen by dense elimination."""
+    layers = []
+    current = [fundamental_alternating(n)]
+    while current:
+        layers.append(dense_independent_subset(current))
+        current = [p.partial(i) for p in layers[-1] for i in range(n)]
+        current = [p for p in current if not p.is_zero()]
+    return layers
+
+
 class TestDerivativeModule:
     def test_dimensions(self):
         assert harmonic_module_dimension(1) == 2
@@ -155,6 +167,10 @@ class TestDerivativeModule:
     def test_guard(self):
         with pytest.raises(ValueError):
             harmonic_module_dimension(4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_layers_match_dense_elimination(self, n):
+        assert harmonic_basis(n) == dense_harmonic_basis(n)
 
     def test_one_dimensional_basis(self):
         layers = harmonic_basis(1)
@@ -186,11 +202,13 @@ class TestFourDimensionalOptIn:
     def test_dimension(self):
         assert harmonic_module_dimension(4, allow_large=True) == 384
 
+    def test_layers_match_dense_elimination(self):
+        assert harmonic_basis(4, allow_large=True) == dense_harmonic_basis(4)
+
     def test_alternating_mean_value_all_skeletons(self):
         d4 = fundamental_alternating(4)
         for k in range(5):
             assert mean_value_report(d4, 4, k).holds
-
 
     def test_basis_report(self):
         rep = harmonic_basis_report(4, allow_large=True)

@@ -41,11 +41,11 @@ def test_rank_and_solution_match_sympy(system):
     matrix, rhs = system
     a = sympy.Matrix(matrix)
     expected_rank = a.rank()
-    assert solve_or_rank(matrix) == expected_rank
-    basis = RowBasis(len(matrix[0]))
+    basis = RowBasis()
     for row in matrix:
-        basis.add(row)
+        basis.add(dict(enumerate(row)))
     assert basis.rank == expected_rank
+    assert all(basis.contains(dict(enumerate(row))) for row in matrix)
 
     try:
         solution, params = a.gauss_jordan_solve(sympy.Matrix(rhs))

@@ -22,6 +22,7 @@ All routes return identical exact rationals; tests enforce this cell by
 cell.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,15 +102,15 @@ def _column_den(j, k, c, partial):
     return factorial(c) * (partial + j) if j <= k else factorial(c)
 
 
-def young_weight(k, mu):
+def young_weight(k, parts):
     """Closed form 1 / (prod s_j! * prod ((2j+1)!)**s_j) over part multiplicities.
 
-    The multiplicities include the zero parts relative to k ambient parts.
+    The multiplicities include the k - len(parts) zero parts of k ambient parts.
     """
-    if mu.length > k:
+    if len(parts) > k:
         raise ValueError("diagram has more than k parts")
-    den = 1
-    for part, count in mu.multiplicities(nparts=k).items():
+    den = factorial(k - len(parts))
+    for part, count in Counter(parts).items():
         den *= factorial(count) * factorial(2 * part + 1) ** count
     return Fraction(1, den)
 
@@ -178,11 +179,11 @@ def young_generating_poly(n, m):
     if not n >= m >= 1:
         raise ValueError("need n >= m >= 1")
     by_length = {}
-    for lam in young_diagrams(m, m):
-        ell = lam.length
-        weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, lam)
+    for parts in young_diagrams(m, m):
+        ell = len(parts)
+        weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, parts)
         product = [1]
-        for part in lam.parts:
+        for part in parts:
             # product *= (2 part + 1) t + 1, in integers
             product = [a + (2 * part + 1) * b for a, b in zip(product + [0], [0] + product)]
         by_length[ell] = by_length.get(ell, UniPoly()) + weight * UniPoly(product)

@@ -6,13 +6,11 @@ weights of a fiber column by column (a transfer matrix over the partial
 row sums) and builds no matrix.
 """
 
-from dataclasses import dataclass
 from math import factorial
 from operator import add
 
 __all__ = [
     "compositions",
-    "YoungDiagram",
     "young_diagrams",
     "fiber_weight",
 ]
@@ -48,39 +46,16 @@ def compositions(total, parts):
     return steps()
 
 
-@dataclass(frozen=True, slots=True)
-class YoungDiagram:
-    """Unordered partition, stored as trimmed weakly decreasing parts."""
-
-    parts: tuple
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def multiplicities(self, nparts=None):
-        """Map part value -> multiplicity; includes the zero part count
-        when the ambient number of parts is supplied."""
-        mult = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        if nparts is not None:
-            if nparts < self.length:
-                raise ValueError("ambient part count below diagram length")
-            mult[0] = nparts - self.length
-        return mult
-
-
 def young_diagrams(total, max_parts):
-    """All partitions of `total` into at most `max_parts` parts,
-    lexicographically descending."""
+    """Partitions of `total` into at most `max_parts` parts, as weakly
+    decreasing tuples of positive parts, lexicographically descending."""
     if total < 0 or max_parts < 1:
         raise ValueError("need total >= 0 and max_parts >= 1")
     acc = []
 
     def rec(remaining, cap):
         if remaining == 0:
-            yield YoungDiagram(tuple(acc))
+            yield tuple(acc)
             return
         if len(acc) == max_parts:
             return

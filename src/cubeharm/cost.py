@@ -140,10 +140,11 @@ def _coeff(args):
 
 
 def _gen(args):
-    """The family up to m, lifted to n: n**2 m products, or n**3 for the
-    Bernstein form's binomial rows."""
+    """The family up to m, lifted to n in n**2 m products; the Bernstein
+    form is built from G_m at size m, with no lift."""
     m, n = args.m, args.m if args.n is None else args.n
-    return [("generating family", m**4), ("lift", n * n * (n if args.what == "F" else m))]
+    lift = [] if args.what == "F" else [("lift", n * n * m)]
+    return [("generating family", m**4), *lift]
 
 
 def _invariant(args):

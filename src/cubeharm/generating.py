@@ -76,14 +76,16 @@ def reversed_generating_poly(n, m):
 def bernstein_transform(n, m):
     """The substitution t**n * P((1-t)/t) of the lifted polynomial P.
 
-    Expanding sum_j p_j (1-t)**j t**(n-j) binomially puts
-    p_j (-1)**i C(j, i) at t**(n-j+i).  The result depends only on m,
-    not on n.
+    The lift (t+1)**(n-m) becomes t**(m-n), so this is t**m G_m((1-t)/t)
+    and depends only on m.  Expanding sum_j g_j (1-t)**j t**(m-j)
+    binomially puts g_j (-1)**i C(j, i) at t**(m-j+i).
     """
-    coeffs = [Fraction(0)] * (n + 1)
-    for j, c in enumerate(lifted_generating_poly(n, m).coeffs):
+    if not n >= m >= 1:
+        raise ValueError("need n >= m >= 1")
+    coeffs = [Fraction(0)] * (m + 1)
+    for j, c in enumerate(generating_poly(m).coeffs):
         for i in range(j + 1):
-            coeffs[n - j + i] += (-1) ** i * comb(j, i) * c
+            coeffs[m - j + i] += (-1) ** i * comb(j, i) * c
     return UniPoly(coeffs)
 
 
@@ -128,7 +130,7 @@ def _check_cleared_product(order):
     zcoth = _lift(coth_series(order), order)
     lhs_sum = [UniPoly()] * (order + 1)
     for m in range(1, M + 1):
-        lhs_sum[2 * m] = (-1) ** (m - 1) * generating_poly(m) * binomial_poly(M - m)
+        lhs_sum[2 * m] = (-1) ** (m - 1) * lifted_generating_poly(M, m)
     two_t_zcoth_plus_2 = zcoth.scale(2 * T) + TruncatedSeries([UniPoly.constant(2)], order)
     lhs = TruncatedSeries(lhs_sum, order) * two_t_zcoth_plus_2
 

@@ -161,7 +161,7 @@ def expand_in_elementary_basis(n, m, k):
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     target = skeleton_invariant(n, k, 2 * m)
-    basis_parts = [lam.parts for lam in young_diagrams(m, m)]
+    basis_parts = list(young_diagrams(m, m))
     basis_polys = [_elementary_product(n, parts) for parts in basis_parts]
     _check_budget(sum(len(p.terms) for p in basis_polys) + len(target.terms))
 

@@ -45,12 +45,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars, index):
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
-    @classmethod
     def monomial(cls, exps, coeff=1):
         return cls(len(exps), {tuple(exps): coeff})
 

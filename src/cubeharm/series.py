@@ -26,13 +26,6 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def term(cls, coeff, power, order):
-        cs = [coeff * 0] * (order + 1)
-        if power <= order:
-            cs[power] = coeff
-        return cls(cs, order)
-
     def coefficient(self, power):
         if 0 <= power <= self.order:
             return self.coeffs[power]
@@ -54,19 +47,19 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), order)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            out = [self.coeffs[0] * 0] * (order + 1)
-            for i in range(order + 1):
-                a = self.coeffs[i]
-                if not a:
-                    continue
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(out, order)
-        return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        order = min(self.order, other.order)
+        out = [self.coeffs[0] * 0] * (order + 1)
+        for i in range(order + 1):
+            a = self.coeffs[i]
+            if not a:
+                continue
+            for j in range(order + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return TruncatedSeries(out, order)
 
     def scale(self, factor):
         """Multiply every coefficient by a fixed coefficient or scalar."""

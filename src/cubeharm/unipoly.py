@@ -69,10 +69,7 @@ class UniPoly:
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
-            c = _coerce(other)
-            if c is None:
-                return NotImplemented
-            other = UniPoly.constant(c)
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -85,12 +82,9 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, UniPoly):
-            return self + (-other)
-        c = _coerce(other)
-        if c is None:
+        if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + UniPoly.constant(-c)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
@@ -116,10 +110,8 @@ class UniPoly:
     def derivative(self):
         return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def reciprocal(self, length=None):
-        """Coefficient reversal: t**length * p(1/t); length defaults to degree."""
-        if length is None:
-            length = max(self.degree, 0)
+    def reciprocal(self, length):
+        """Coefficient reversal: t**length * p(1/t)."""
         if length < self.degree:
             raise ValueError("reversal length below degree")
         padded = list(self.coeffs) + [Fraction(0)] * (length + 1 - len(self.coeffs))

@@ -97,7 +97,7 @@ def suffix_sums(n):
     sums = []
     acc = MultiPoly.zero(n)
     for i in range(n - 1, -1, -1):
-        acc = acc + MultiPoly.variable(n, i)
+        acc = acc + MultiPoly.monomial(tuple(int(j == i) for j in range(n)))
         sums.append(acc)
     sums.reverse()
     return sums

@@ -182,16 +182,16 @@ def test_criterion_7_definitional_equivalences():
     # young weight against rearrangement sums
     for k in range(1, 5):
         for weight in range(5):
-            for mu in young_diagrams(weight, k):
+            for parts in young_diagrams(weight, k):
                 brute = Fraction(0)
-                for nu in set(permutations(mu.parts + (0,) * (k - mu.length))):
+                for nu in set(permutations(parts + (0,) * (k - len(parts)))):
                     term = Fraction(1)
                     for j in range(1, k + 1):
                         term /= 2 * sum(nu[:j]) + j
                     for v in nu:
                         term /= factorial(2 * v)
                     brute += term
-                ok = ok and young_weight(k, mu) == brute
+                ok = ok and young_weight(k, parts) == brute
     # sign weight against the root-of-unity definition, float tolerance
     for n in range(1, 5):
         for m in range(1, n + 1):

@@ -36,7 +36,7 @@ def test_against_series_division_oracle():
     # (-1)**(m-1) * bernoulli(m) / (2m)!
     order = 20
     den = TruncatedSeries([Fraction(1, factorial(j + 1)) for j in range(order + 1)], order)
-    num = TruncatedSeries.term(Fraction(1), 0, order)
+    num = TruncatedSeries([Fraction(1)], order)
     q = series_div(num, den)
     assert q.coefficient(1) == Fraction(-1, 2)
     for m in range(1, 11):
@@ -65,5 +65,5 @@ def test_product_of_coth_and_tanh_is_z():
     # (z coth z) * tanh z == z, exactly, through order 17
     order = 17
     product = coth_series(order) * tanh_series(order)
-    expected = TruncatedSeries.term(Fraction(1), 1, order)
+    expected = TruncatedSeries([Fraction(0), Fraction(1)], order)
     assert product == expected

@@ -103,6 +103,11 @@ class TestGenCommand:
         code, out, _ = run(capsys, "gen", "--m", "2", "--what", "F", "--format", "json")
         assert code == 0
         assert json.loads(out)["coefficients"] == ["1/6", "-4/15", "1/9"]
+        # the Bernstein form depends only on m, so any n is admitted without the flag
+        argv = ["gen", "--m", "2", "--n", "600", "--what", "F", "--format", "json"]
+        code, wide, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(wide)["coefficients"] == json.loads(out)["coefficients"]
 
     def test_lift_requires_n_at_least_m(self, capsys):
         code, _, err = run(capsys, "gen", "--m", "2", "--n", "1")

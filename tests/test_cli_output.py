@@ -241,7 +241,7 @@ CHECKED = [
     ("fiber DP", "invariant --n 3 --k 1 --m 4 --what g"),
     ("partition DP", "coeff --n 3 --m 2 --k 1 --route partition"),
     ("Young diagrams", "coeff --n 3 --m 2 --k 1 --route young"),
-    ("lift", "gen --m 2 --n 4 --what F"),
+    ("lift", "gen --m 2 --n 4 --what Ghat"),
     ("generating family", "coeff --n 3 --m 2 --k 1 --route generating"),
     ("recursion table", "coeff --n 3 --m 2 --k 1 --route recursion"),
     ("Bernoulli numbers", "bernoulli --count 3"),

@@ -22,7 +22,7 @@ from cubeharm.coefficients import (
     route_records,
     young_weight,
 )
-from cubeharm.combinat import YoungDiagram, compositions
+from cubeharm.combinat import compositions
 from oracles import fraction_recursion_table, matrix_weight
 from staircase import quad_matrices_with_colsums
 
@@ -50,9 +50,9 @@ def matrix_weight_by_enumeration(n, k, nu):
     return total
 
 
-def young_weight_by_rearrangements(k, mu):
+def young_weight_by_rearrangements(k, parts):
     total = Fraction(0)
-    for nu in set(permutations(mu.parts + (0,) * (k - mu.length))):
+    for nu in set(permutations(parts + (0,) * (k - len(parts)))):
         term = Fraction(1)
         for j in range(1, k + 1):
             term /= 2 * sum(nu[:j]) + j
@@ -123,17 +123,20 @@ class TestMatrixWeight:
 
 class TestYoungWeight:
     def test_examples(self):
-        assert young_weight(1, YoungDiagram((1,))) == Fraction(1, 6)
-        assert young_weight(2, YoungDiagram((1,))) == Fraction(1, 6)
-        assert young_weight(1, YoungDiagram(())) == 1
+        assert young_weight(1, (1,)) == Fraction(1, 6)
+        assert young_weight(2, (1,)) == Fraction(1, 6)
+        assert young_weight(3, (1,)) == Fraction(1, 12)
+        assert young_weight(1, ()) == 1
+        with pytest.raises(ValueError):
+            young_weight(1, (1, 1))
 
     def test_matches_rearrangement_sum(self):
         from cubeharm.combinat import young_diagrams
 
         for k in range(1, 5):
             for weight in range(5):
-                for mu in young_diagrams(weight, k):
-                    assert young_weight(k, mu) == young_weight_by_rearrangements(k, mu)
+                for parts in young_diagrams(weight, k):
+                    assert young_weight(k, parts) == young_weight_by_rearrangements(k, parts)
 
 
 class TestRoutes:

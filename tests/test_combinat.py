@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeharm.combinat import YoungDiagram, compositions, fiber_weight, young_diagrams
+from cubeharm.combinat import compositions, fiber_weight, young_diagrams
 from oracles import matrix_weight
 from staircase import (
     QuadMatrix,
@@ -54,21 +54,20 @@ class TestCompositions:
 
 class TestYoungDiagrams:
     def test_tiny_case(self):
-        assert [d.parts for d in young_diagrams(2, 2)] == [(2,), (1, 1)]
+        assert list(young_diagrams(2, 2)) == [(2,), (1, 1)]
 
     def test_partition_count(self):
         assert len(list(young_diagrams(4, 4))) == 5
 
     def test_max_parts_cuts(self):
-        assert [d.parts for d in young_diagrams(3, 2)] == [(3,), (2, 1)]
+        assert list(young_diagrams(3, 2)) == [(3,), (2, 1)]
 
-    def test_multiplicities_with_context(self):
-        d = YoungDiagram((2, 1, 1))
-        assert d.length == 3
-        assert d.multiplicities() == {2: 1, 1: 2}
-        assert d.multiplicities(nparts=5) == {2: 1, 1: 2, 0: 2}
-        with pytest.raises(ValueError):
-            d.multiplicities(nparts=2)
+    def test_weakly_decreasing_tuples_in_descending_order(self):
+        assert list(young_diagrams(6, 6)) == [
+            (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1),
+            (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+        ]
+        assert list(young_diagrams(0, 1)) == [()]
 
 
 class TestQuadMatrices:

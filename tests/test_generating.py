@@ -144,6 +144,8 @@ class TestBernstein:
             base = bernstein_transform(m, m)
             for n in range(m, m + 4):
                 assert bernstein_transform(n, m) == base
+        with pytest.raises(ValueError):
+            bernstein_transform(2, 3)
 
     def test_matches_substitution(self):
         # t**n P((1-t)/t) as the sum of p_j (1-t)**j t**(n-j), multiplied out

@@ -59,7 +59,7 @@ class TestSkeletonAverage:
     def test_linear_is_preserved(self):
         for n in (2, 3):
             for k in range(n + 1):
-                x1 = MultiPoly.variable(n, 0)
+                x1 = MultiPoly.monomial((1,) + (0,) * (n - 1))
                 assert skeleton_average(x1, n, k) == x1.extended(n + 1)
 
     def test_setting_r_to_zero_recovers_input(self):

@@ -58,8 +58,8 @@ def invariant_by_group_average(n, k, m):
 
 class TestCompleteHomogeneous:
     def test_two_variables_degree_two(self):
-        t1 = MultiPoly.variable(2, 0)
-        t2 = MultiPoly.variable(2, 1)
+        t1 = MultiPoly.monomial((1, 0))
+        t2 = MultiPoly.monomial((0, 1))
         expected = MultiPoly(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
         assert complete_homogeneous(2, [t1, t2]) == expected
 
@@ -68,8 +68,8 @@ class TestCompleteHomogeneous:
         assert complete_homogeneous(3, [s]) == s * s * s
 
     def test_trailing_zero_argument_is_dropped(self):
-        t1 = MultiPoly.variable(2, 0)
-        t2 = MultiPoly.variable(2, 1)
+        t1 = MultiPoly.monomial((1, 0))
+        t2 = MultiPoly.monomial((0, 1))
         zero = MultiPoly.zero(2)
         for m in range(4):
             assert complete_homogeneous(m, [t1, t2, zero]) == complete_homogeneous(m, [t1, t2])

@@ -29,8 +29,8 @@ def test_exponent_length_checked():
 
 
 def test_arithmetic_basics():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
+    x = MultiPoly.monomial((1, 0))
+    y = MultiPoly.monomial((0, 1))
     p = (x + y) * (x - y)
     assert p == MultiPoly(2, {(2, 0): 1, (0, 2): -1})
     assert (x * x * x).terms == {(3, 0): Fraction(1)}

@@ -12,9 +12,7 @@ from oracles import power
 
 def series_exp(s):
     """Test-side oracle: exponential by summing powers (constant term 0)."""
-    one = s.coeffs[0] * 0 + 1
-    result = TruncatedSeries.term(one, 0, s.order)
-    term = TruncatedSeries.term(one, 0, s.order)
+    result = term = TruncatedSeries([Fraction(1)], s.order)
     for j in range(1, s.order + 1):
         term = term * s
         result = result + term.scale(Fraction(1, factorial(j)))
@@ -44,6 +42,10 @@ class TestUniPoly:
         assert not p - p
         assert power(p, 3)[2] == 3
         assert (2 * p)[0] == 2
+        with pytest.raises(TypeError):
+            p + 1
+        with pytest.raises(TypeError):
+            p - 1
 
     def test_derivative(self):
         p = UniPoly((1, 0, 3))  # 1 + 3t^2
@@ -51,7 +53,7 @@ class TestUniPoly:
 
     def test_reciprocal(self):
         p = UniPoly((1, 2, 3))
-        assert p.reciprocal().coeffs == (3, 2, 1)
+        assert p.reciprocal(2).coeffs == (3, 2, 1)
         assert p.reciprocal(4).coeffs == (0, 0, 3, 2, 1)
         with pytest.raises(ValueError):
             p.reciprocal(1)
@@ -69,10 +71,17 @@ class TestSeriesBasics:
         assert (a + b).order == 1
         assert (a * b).order == 1
 
+    def test_scalars_go_through_scale(self):
+        a = TruncatedSeries([1, 1, 1], 2)
+        with pytest.raises(TypeError):
+            a * 2
+        assert a.scale(2).coeffs == (2, 2, 2)
+
     def test_pads_with_the_zero_of_its_coefficients(self):
         rational = TruncatedSeries([Fraction(1)], 2).coeffs
         assert rational == (1, 0, 0) and type(rational[2]) is Fraction
-        for coeffs in (TruncatedSeries([ONE], 2).coeffs, TruncatedSeries.term(T, 1, 2).coeffs):
+        for first in ([ONE], [UniPoly(), T]):
+            coeffs = TruncatedSeries(first, 2).coeffs
             assert [type(c) for c in coeffs] == [UniPoly] * 3
             assert [c.degree for c in coeffs] in ([0, -1, -1], [-1, 1, -1])
 
@@ -105,12 +114,12 @@ class TestSeriesLog:
 
 class TestSeriesDiv:
     def test_geometric(self):
-        num = TruncatedSeries.term(Fraction(1), 2, 6)
+        num = TruncatedSeries([Fraction(0), Fraction(0), Fraction(1)], 6)
         den = TruncatedSeries([1, 0, -1], 6)
         assert series_div(num, den).coeffs == (0, 0, 1, 0, 1, 0, 1)
 
     def test_geometric_over_polynomials(self):
-        one = TruncatedSeries.term(UniPoly.constant(1), 0, 4)
+        one = TruncatedSeries([ONE], 4)
         den = TruncatedSeries([ONE, UniPoly(), T], 4)
         q = series_div(one, den)
         assert q.coeffs == (ONE, UniPoly(), -T, UniPoly(), T * T)
@@ -122,8 +131,8 @@ class TestSeriesDiv:
                 series_div(num, TruncatedSeries([constant, 1], 3))
         with pytest.raises(ValueError):
             series_div(
-                TruncatedSeries.term(UniPoly.constant(1), 0, 3),
-                TruncatedSeries.term(ONE + T, 0, 3),
+                TruncatedSeries([ONE], 3),
+                TruncatedSeries([ONE + T], 3),
             )
 
     @settings(max_examples=60, deadline=None)

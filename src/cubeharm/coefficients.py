@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 
 from . import cost, generating
 from .bernoulli import scaled_bernoulli
@@ -167,17 +167,13 @@ def coeff_by_partition_sum(n, m, k):
 
 
 @lru_cache(maxsize=None)
-def young_generating_poly(n, m):
-    """Generating polynomial assembled from Young diagrams of weight m.
+def _young_by_length(m):
+    """The Young diagrams of weight m summed per length l, unlifted.
 
     Each diagram of length l with part multiplicities r_1..r_m contributes
-    (-1)**(l-1) (l-1)! young_weight(l, lambda) times (t+1)**(n - l) times
-    the product over parts j of ((2j+1) t + 1)**r_j; the lift
-    (t+1)**(n-l) is what makes the result a polynomial.  The diagrams of
-    each length are summed first, so each length is lifted once.
+    (-1)**(l-1) (l-1)! young_weight(l, lambda) times the product over
+    parts j of ((2j+1) t + 1)**r_j.  None of it depends on n.
     """
-    if not n >= m >= 1:
-        raise ValueError("need n >= m >= 1")
     by_length = {}
     for parts in young_diagrams(m, m):
         ell = len(parts)
@@ -187,8 +183,21 @@ def young_generating_poly(n, m):
             # product *= (2 part + 1) t + 1, in integers
             product = [a + (2 * part + 1) * b for a, b in zip(product + [0], [0] + product)]
         by_length[ell] = by_length.get(ell, UniPoly()) + weight * UniPoly(product)
+    return by_length
+
+
+@lru_cache(maxsize=None)
+def young_generating_poly(n, m):
+    """Generating polynomial assembled from Young diagrams of weight m.
+
+    The per-length sums of `_young_by_length` are each lifted by
+    (t+1)**(n - l), which is what makes the result a polynomial, and the
+    total is scaled by (-1)**(m-1) m.
+    """
+    if not n >= m >= 1:
+        raise ValueError("need n >= m >= 1")
     total = UniPoly()
-    for ell, poly in by_length.items():
+    for ell, poly in _young_by_length(m).items():
         total = total + poly * binomial_poly(n - ell)
     return Fraction((-1) ** (m - 1) * m) * total
 
@@ -204,12 +213,14 @@ def coeff_by_generating(n, m, k):
     """Read the coefficient off the Bernoulli-recursion generating polynomial.
 
     The t**(n-k) coefficient of the lift (t+1)**(n-m) * G_m is
-    sum_i G_m[i] * C(n-m, n-k-i), so the lift is never built.
+    sum_i G_m[i] * C(n-m, n-k-i), so the lift is never built.  The sum
+    runs over G_m's integer numerators, and dividing by the assembly
+    weight n!/((n-k)! (2m+k)!) makes one Fraction.
     """
     _validate(n, m, k)
-    base = generating.generating_poly(m)
-    lifted = sum(base[i] * comb(n - m, n - k - i) for i in range(min(m, n - k) + 1))
-    return lifted / generating._assembly_weight(n, m, k)
+    nums, den = generating._family(m)
+    lifted = sum(nums[i] * comb(n - m, n - k - i) for i in range(min(m, n - k) + 1))
+    return Fraction(lifted * factorial(n - k) * factorial(2 * m + k), den * factorial(n))
 
 
 def coeff_by_expansion(n, m, k):
@@ -238,14 +249,11 @@ def closed_form(n, m, k):
             )
         )
     if k in (n - 1, n) or (k == n - 2 and m >= 2):
-        values.append(Fraction(factorial(n + 2 * m), factorial(n)) * scaled_bernoulli(m))
+        values.append(perm(n + 2 * m, 2 * m) * scaled_bernoulli(m))
     if k == n - 3 and n >= 3 and m >= 2:
         values.append(
-            Fraction(
-                factorial(n + 2 * m) * scaled_bernoulli(m)
-                - 4 * m * factorial(n + 2 * m - 3) * scaled_bernoulli(m - 1),
-                factorial(n),
-            )
+            perm(n + 2 * m, 2 * m) * scaled_bernoulli(m)
+            - 4 * m * perm(n + 2 * m - 3, 2 * m - 3) * scaled_bernoulli(m - 1)
         )
     if not values:
         return None

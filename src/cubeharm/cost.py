@@ -38,7 +38,7 @@ LIMITS = {
     "partition DP": (3_000_000, "partition DP step estimate n (m+1)^3"),
     "Young diagrams": (1_000_000, "Young diagram part estimate p(m) m"),
     "lift": (100_000_000, "lift product estimate"),
-    "generating family": (50_000_000, "generating-family product estimate m^4"),
+    "generating family": (2_000_000, "generating-family product estimate m^3"),
     "recursion table": (200_000, "recursion table cell count"),
     "Bernoulli numbers": (500, "Bernoulli number count"),
     "series order": (128, "series order"),
@@ -126,7 +126,7 @@ ROUTE_COSTS = {
     "partition": lambda n, m, k: [("partition DP", n * (m + 1) ** 3)],
     # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
     "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", m * n * n)],
-    "generating": lambda n, m, k: [("generating family", m**4), ("factorial", n + 2 * m)],
+    "generating": lambda n, m, k: [("generating family", m**3), ("factorial", n + 2 * m)],
     "recursion": lambda n, m, k: [("recursion table", _recursion_cells(n, m))],
     "oracle": lambda n, m, k: [("oracle", n)],
     "extremal": lambda n, m, k: [("factorial", n + 2 * m), ("Bernoulli numbers", m + 1)],
@@ -144,7 +144,7 @@ def _gen(args):
     form is built from G_m at size m, with no lift."""
     m, n = args.m, args.m if args.n is None else args.n
     lift = [] if args.what == "F" else [("lift", n * n * m)]
-    return [("generating family", m**4), *lift]
+    return [("generating family", m**3), *lift]
 
 
 def _invariant(args):

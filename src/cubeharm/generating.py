@@ -12,7 +12,7 @@ a truncation order.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .bernoulli import coth_series, scaled_bernoulli, tanh_series
 from .series import TruncatedSeries, series_log
@@ -29,6 +29,52 @@ __all__ = [
     "identity_report",
 ]
 
+
+@lru_cache(maxsize=None)
+def _s_family(m):
+    """Q_m(s) = P_m(s - 1), as integer numerators by power of s over one denominator.
+
+    In the basis s = t + 1 the Bernoulli recursion reads
+        Q_m = b_m s**(m-1) + 2 (s-1) * sum_{i<m} b_{m-i} s**(m-i-1) Q_i
+    with Q_1 = (3s - 2)/6, so each power of s is a shift and the whole
+    family up to m costs O(m**3) integer products.  The denominator is
+    the lcm of b_m's and of every b_{m-i} Q_i's, and the result is
+    reduced by one gcd.
+    """
+    if m == 1:
+        return (-2, 3), 6
+    lead = scaled_bernoulli(m)
+    # ascending in i, so each Q_i is cached before the next reads it and
+    # the recursion never goes deeper than one level
+    parts = [(scaled_bernoulli(m - i), *_s_family(i)) for i in range(1, m)]
+    den = lcm(lead.denominator, *(b.denominator * d for b, _, d in parts))
+    acc = [0] * m
+    for i, (b, nums, d) in enumerate(parts, 1):
+        factor = b.numerator * (den // (b.denominator * d))
+        for j, c in enumerate(nums, m - i - 1):
+            acc[j] += factor * c
+    out = [0] * (m + 1)
+    for j, c in enumerate(acc):  # times 2 (s - 1)
+        out[j + 1] += 2 * c
+        out[j] -= 2 * c
+    out[m - 1] += lead.numerator * (den // lead.denominator)
+    common = gcd(den, *out)
+    return tuple(c // common for c in out), den // common
+
+
+@lru_cache(maxsize=None)
+def _family(m):
+    """P_m as integer numerators by power of t over one denominator.
+
+    The t**i numerator is sum_{j>=i} Q_m[j] C(j, i).  The change of basis
+    is unimodular, so the numerators stay reduced.
+    """
+    nums, den = _s_family(m)
+    return tuple(
+        sum(c * comb(j, i) for j, c in enumerate(nums[i:], i)) for i in range(m + 1)
+    ), den
+
+
 @lru_cache(maxsize=None)
 def generating_poly(m):
     """Degree-m member of the base family, via the Bernoulli recursion.
@@ -36,17 +82,13 @@ def generating_poly(m):
     The recursion is
         P_m = b_m (t+1)**(m-1) + 2 t * sum_{i<m} b_{m-i} (t+1)**(m-i-1) P_i
     with P_1 = t/2 + 1/6 and b_i the positive scaled Bernoulli numbers,
-    so every coefficient is positive and the degree is exactly m.
+    so every coefficient is positive and the degree is exactly m.  It is
+    run in integers in the basis s = t + 1 (`_s_family`).
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if m == 1:
-        return UniPoly((Fraction(1, 6), Fraction(1, 2)))
-    poly = scaled_bernoulli(m) * binomial_poly(m - 1)
-    acc = UniPoly()
-    for i in range(1, m):
-        acc = acc + scaled_bernoulli(m - i) * binomial_poly(m - i - 1) * generating_poly(i)
-    return poly + 2 * T * acc
+    nums, den = _family(m)
+    return UniPoly(Fraction(c, den) for c in nums)
 
 
 def lifted_generating_poly(n, m):

@@ -5,12 +5,14 @@ Bernstein family, the symbolic expansion of complete homogeneous
 polynomials of the suffix sums, the signed permutation of variables and
 the orbit-by-orbit permutation average that define the hyperoctahedral
 averages, the rebuilding of an invariant from its elementary-basis
-expansion, the recursion sweep in `Fraction` arithmetic, the staircase
-closed form, and elimination on dense rows.
+expansion, the recursion sweep and the generating-polynomial recursion
+in `Fraction` arithmetic, the staircase closed form, and elimination on
+dense rows.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -19,7 +21,7 @@ from cubeharm.coefficients import _degree_two_count, closed_form
 from cubeharm.combinat import compositions
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly, grlex_key
-from cubeharm.unipoly import UniPoly
+from cubeharm.unipoly import UniPoly, binomial_poly
 
 
 def power(base, exponent):
@@ -199,6 +201,21 @@ def fraction_recursion_table(n_max):
                     )
                 table[(n, m, k)] = value
     return table
+
+
+@lru_cache(maxsize=None)
+def fraction_generating_poly(m):
+    """The Bernoulli recursion for P_m in the basis t, in `Fraction` polynomials:
+        P_m = b_m (t+1)**(m-1) + 2 t * sum_{i<m} b_{m-i} (t+1)**(m-i-1) P_i
+    with P_1 = t/2 + 1/6.
+    """
+    if m == 1:
+        return UniPoly((Fraction(1, 6), Fraction(1, 2)))
+    acc = UniPoly()
+    for i in range(1, m):
+        term = scaled_bernoulli(m - i) * binomial_poly(m - i - 1)
+        acc = acc + term * fraction_generating_poly(i)
+    return scaled_bernoulli(m) * binomial_poly(m - 1) + 2 * UniPoly((0, 1)) * acc
 
 
 def matrix_weight(n, k, nu):

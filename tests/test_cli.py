@@ -109,6 +109,11 @@ class TestGenCommand:
         assert (code, err) == (0, "")
         assert json.loads(wide)["coefficients"] == json.loads(out)["coefficients"]
 
+    def test_m120_needs_no_flag(self, capsys):
+        code, out, err = run(capsys, "gen", "--m", "120")
+        assert (code, err) == (0, "")
+        assert out.count("*t") == 120
+
     def test_lift_requires_n_at_least_m(self, capsys):
         code, _, err = run(capsys, "gen", "--m", "2", "--n", "1")
         assert code == 2

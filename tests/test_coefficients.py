@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from cubeharm import coefficients
+from cubeharm import coefficients, generating
 from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import (
     closed_form,
@@ -302,10 +302,9 @@ class TestRecursionTable:
     def test_n60_positive_and_matches_generating(self):
         table = recursion_table(60)
         assert len(table) == 75640
-        assert all(value > 0 for value in table.values())
-        for m in range(1, 61):
-            for k in range(61):
-                assert table[(60, m, k)] == coeff_by_generating(60, m, k)
+        for (n, m, k), value in table.items():
+            assert value > 0
+            assert value == coeff_by_generating(n, m, k)
 
 
 class TestRouteIndependence:
@@ -324,6 +323,16 @@ class TestRouteIndependence:
     def test_partition_route_skips_enumeration(self, monkeypatch):
         self._forbid(monkeypatch, "fiber_weight")
         assert coeff_by_partition_sum(4, 2, 1) == coeff_by_young_sum(4, 2, 1)
+
+    def test_generating_route_skips_series_log(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("series_log called")
+
+        monkeypatch.setattr("cubeharm.generating.series_log", refuse)
+        for cached in (generating.generating_poly, generating._family, generating._s_family):
+            cached.cache_clear()
+        assert coeff_by_generating(12, 12, 5) == coeff_by_recursion(12, 12, 5)
+        assert generating.generating_poly(12)[5] > 0
 
 
 class TestRouteAgreement:

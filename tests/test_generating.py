@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
+from cubeharm import generating
 from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import (
     coeff_by_expansion,
@@ -19,7 +20,7 @@ from cubeharm.generating import (
     reversed_generating_poly,
 )
 from cubeharm.unipoly import ONE, T, UniPoly
-from oracles import bernstein_from_ode, power
+from oracles import bernstein_from_ode, fraction_generating_poly, power
 
 
 class TestBasePolynomials:
@@ -46,6 +47,12 @@ class TestBasePolynomials:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             generating_poly(0)
+
+    def test_matches_fraction_recursion(self):
+        for m in range(1, 41):
+            assert generating_poly(m) == fraction_generating_poly(m)
+            nums, den = generating._family(m)
+            assert gcd(den, *nums) == 1
 
 
 class TestLifted:

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, perm
+from math import factorial, gcd, lcm, perm
 
 from . import cost, generating
 from .bernoulli import scaled_bernoulli
@@ -210,17 +210,9 @@ def coeff_by_young_sum(n, m, k):
 
 
 def coeff_by_generating(n, m, k):
-    """Read the coefficient off the Bernoulli-recursion generating polynomial.
-
-    The t**(n-k) coefficient of the lift (t+1)**(n-m) * G_m is
-    sum_i G_m[i] * C(n-m, n-k-i), so the lift is never built.  The sum
-    runs over G_m's integer numerators, and dividing by the assembly
-    weight n!/((n-k)! (2m+k)!) makes one Fraction.
-    """
+    """Read the coefficient off the Bernoulli-recursion generating polynomial."""
     _validate(n, m, k)
-    nums, den = generating._family(m)
-    lifted = sum(nums[i] * comb(n - m, n - k - i) for i in range(min(m, n - k) + 1))
-    return Fraction(lifted * factorial(n - k) * factorial(2 * m + k), den * factorial(n))
+    return generating.coefficient_from_family(n, m, k)
 
 
 def coeff_by_expansion(n, m, k):

@@ -22,6 +22,7 @@ __all__ = [
     "generating_poly",
     "lifted_generating_poly",
     "coefficient_from_generating_poly",
+    "coefficient_from_family",
     "reversed_generating_poly",
     "bernstein_transform",
     "IdentityCheck",
@@ -63,19 +64,6 @@ def _s_family(m):
 
 
 @lru_cache(maxsize=None)
-def _family(m):
-    """P_m as integer numerators by power of t over one denominator.
-
-    The t**i numerator is sum_{j>=i} Q_m[j] C(j, i).  The change of basis
-    is unimodular, so the numerators stay reduced.
-    """
-    nums, den = _s_family(m)
-    return tuple(
-        sum(c * comb(j, i) for j, c in enumerate(nums[i:], i)) for i in range(m + 1)
-    ), den
-
-
-@lru_cache(maxsize=None)
 def generating_poly(m):
     """Degree-m member of the base family, via the Bernoulli recursion.
 
@@ -83,12 +71,16 @@ def generating_poly(m):
         P_m = b_m (t+1)**(m-1) + 2 t * sum_{i<m} b_{m-i} (t+1)**(m-i-1) P_i
     with P_1 = t/2 + 1/6 and b_i the positive scaled Bernoulli numbers,
     so every coefficient is positive and the degree is exactly m.  It is
-    run in integers in the basis s = t + 1 (`_s_family`).
+    run in integers in the basis s = t + 1 (`_s_family`), and the t**i
+    coefficient is sum_{j>=i} Q_m[j] C(j, i) over Q_m's denominator.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    nums, den = _family(m)
-    return UniPoly(Fraction(c, den) for c in nums)
+    nums, den = _s_family(m)
+    return UniPoly(
+        Fraction(sum(c * comb(j, i) for j, c in enumerate(nums[i:], i)), den)
+        for i in range(m + 1)
+    )
 
 
 def lifted_generating_poly(n, m):
@@ -99,15 +91,31 @@ def lifted_generating_poly(n, m):
 
 
 def _assembly_weight(n, m, k):
-    """Weight n!/((n-k)! (2m+k)!) of the skeleton-k coefficient at t**(n-k)."""
-    return Fraction(factorial(n), factorial(n - k) * factorial(2 * m + k))
+    """Weight n!/((n-k)! (2m+k)!) of the skeleton-k coefficient at t**(n-k), as (num, den)."""
+    return factorial(n), factorial(n - k) * factorial(2 * m + k)
 
 
 def coefficient_from_generating_poly(poly, n, m, k):
     """Invert the assembly: read the skeleton-k coefficient off t**(n-k)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return poly[n - k] / _assembly_weight(n, m, k)
+    w_num, w_den = _assembly_weight(n, m, k)
+    return Fraction(poly[n - k].numerator * w_den, poly[n - k].denominator * w_num)
+
+
+def coefficient_from_family(n, m, k):
+    """`coefficient_from_generating_poly` on the lift s**(n-m) Q_m(s), never built.
+
+    The t**(n-k) numerator is sum_j Q_m[j] C(j+n-m, n-k), zero below j = m-k.
+    """
+    if not n >= m >= 1:
+        raise ValueError("need n >= m >= 1")
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    nums, den = _s_family(m)
+    lifted = sum([nums[j] * comb(j + n - m, n - k) for j in range(max(0, m - k), m + 1)])
+    w_num, w_den = _assembly_weight(n, m, k)
+    return Fraction(lifted * w_den, den * w_num)
 
 
 def reversed_generating_poly(n, m):
@@ -119,16 +127,13 @@ def bernstein_transform(n, m):
     """The substitution t**n * P((1-t)/t) of the lifted polynomial P.
 
     The lift (t+1)**(n-m) becomes t**(m-n), so this is t**m G_m((1-t)/t)
-    and depends only on m.  Expanding sum_j g_j (1-t)**j t**(m-j)
-    binomially puts g_j (-1)**i C(j, i) at t**(m-j+i).
+    and depends only on m.  Since (1-t)/t + 1 = 1/t it equals
+    t**m Q_m(1/t): the s-basis numerators of G_m reversed.
     """
     if not n >= m >= 1:
         raise ValueError("need n >= m >= 1")
-    coeffs = [Fraction(0)] * (m + 1)
-    for j, c in enumerate(generating_poly(m).coeffs):
-        for i in range(j + 1):
-            coeffs[m - j + i] += (-1) ** i * comb(j, i) * c
-    return UniPoly(coeffs)
+    nums, den = _s_family(m)
+    return UniPoly(Fraction(c, den) for c in reversed(nums))
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,10 @@ def expand_in_elementary_basis(n, m, k):
         raise ValueError("need 0 <= k <= n")
     target = skeleton_invariant(n, k, 2 * m)
     basis_parts = list(young_diagrams(m, m))
-    basis_polys = [_elementary_product(n, parts) for parts in basis_parts]
-    _check_budget(sum(len(p.terms) for p in basis_polys) + len(target.terms))
+    basis_polys = []
+    for parts in basis_parts:  # checked before the next product is built
+        basis_polys.append(_elementary_product(n, parts))
+        _check_budget(sum(len(p.terms) for p in [target, *basis_polys]))
 
     support = dict.fromkeys(mono for p in [target, *basis_polys] for mono in p.terms)
     matrix = [[p.terms.get(mono, Fraction(0)) for p in basis_polys] for mono in support]

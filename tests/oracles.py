@@ -6,15 +6,15 @@ polynomials of the suffix sums, the signed permutation of variables and
 the orbit-by-orbit permutation average that define the hyperoctahedral
 averages, the rebuilding of an invariant from its elementary-basis
 expansion, the recursion sweep and the generating-polynomial recursion
-in `Fraction` arithmetic, the staircase closed form, and elimination on
-dense rows.
+in `Fraction` arithmetic, the Bernstein form by binomial expansion, the
+staircase closed form, and elimination on dense rows.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import _degree_two_count, closed_form
@@ -216,6 +216,18 @@ def fraction_generating_poly(m):
         term = scaled_bernoulli(m - i) * binomial_poly(m - i - 1)
         acc = acc + term * fraction_generating_poly(i)
     return scaled_bernoulli(m) * binomial_poly(m - 1) + 2 * UniPoly((0, 1)) * acc
+
+
+def binomial_bernstein_transform(m):
+    """t**m G_m((1-t)/t) with G_m from `fraction_generating_poly`: expanding
+    sum_j g_j (1-t)**j t**(m-j) binomially puts g_j (-1)**i C(j, i) at
+    t**(m-j+i).
+    """
+    coeffs = [Fraction(0)] * (m + 1)
+    for j, c in enumerate(fraction_generating_poly(m).coeffs):
+        for i in range(j + 1):
+            coeffs[m - j + i] += (-1) ** i * comb(j, i) * c
+    return UniPoly(coeffs)
 
 
 def matrix_weight(n, k, nu):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
 import pytest
@@ -13,6 +14,7 @@ from cubeharm.coefficients import (
 )
 from cubeharm.generating import (
     bernstein_transform,
+    coefficient_from_family,
     coefficient_from_generating_poly,
     generating_poly,
     identity_report,
@@ -20,7 +22,12 @@ from cubeharm.generating import (
     reversed_generating_poly,
 )
 from cubeharm.unipoly import ONE, T, UniPoly
-from oracles import bernstein_from_ode, fraction_generating_poly, power
+from oracles import (
+    bernstein_from_ode,
+    binomial_bernstein_transform,
+    fraction_generating_poly,
+    power,
+)
 
 
 class TestBasePolynomials:
@@ -51,7 +58,7 @@ class TestBasePolynomials:
     def test_matches_fraction_recursion(self):
         for m in range(1, 41):
             assert generating_poly(m) == fraction_generating_poly(m)
-            nums, den = generating._family(m)
+            nums, den = generating._s_family(m)
             assert gcd(den, *nums) == 1
 
 
@@ -105,6 +112,14 @@ class TestAssemblyFromCoefficients:
         )
         assert _matches_lifted(3, 2, coeff_by_partition_sum)
         assert _matches_lifted(7, 4, coeff_by_partition_sum)
+
+    def test_family_provider(self):
+        for n in range(1, 31):
+            for m in range(1, n + 1):
+                assert _matches_lifted(n, m, coefficient_from_family)
+        for args in ((3, 4, 0), (3, 0, 0), (3, 2, 4), (3, 2, -1)):
+            with pytest.raises(ValueError):
+                coefficient_from_family(*args)
 
     def test_extraction_inverts_assembly(self):
         for n in range(1, 5):
@@ -163,6 +178,10 @@ class TestBernstein:
                     total = total + c * power(ONE - T, j) * power(T, n - j)
                 assert bernstein_transform(n, m) == total
 
+    def test_matches_binomial_expansion(self):
+        for m in range(1, 41):
+            assert bernstein_transform(m, m) == binomial_bernstein_transform(m)
+
 
 class TestOdeRoute:
     def test_second_member_from_first(self):
@@ -214,6 +233,34 @@ class TestIdentitySuite:
     def test_all_identities_hold_at_order_sixteen(self):
         report = identity_report(16)
         assert report.all_ok, report.checks
+
+    @pytest.mark.parametrize(
+        "index, failing",
+        [
+            (0, {"cleared-product", "log-series"}),
+            (3, {"cleared-product", "log-series", "reflected-tanh"}),
+        ],
+    )
+    def test_wrong_family_member_fails(self, monkeypatch, index, failing):
+        # Q_3 with one s-basis numerator off by one; Q_1..Q_8 are cached
+        # first, so the recursion never reads the perturbed member
+        original = generating._s_family
+        original(8)
+
+        @lru_cache(maxsize=None)
+        def perturbed(m):
+            nums, den = original(m)
+            if m == 3:
+                nums = nums[:index] + (nums[index] + 1,) + nums[index + 1 :]
+            return nums, den
+
+        monkeypatch.setattr(generating, "_s_family", perturbed)
+        generating.generating_poly.cache_clear()
+        try:
+            report = identity_report(16)
+        finally:
+            generating.generating_poly.cache_clear()
+        assert {c.name for c in report.checks if not c.ok} == failing
 
     def test_reflected_tanh_first_coefficient(self):
         assert reversed_generating_poly(1, 1)[0] == Fraction(1, 2)

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the full verification battery through the CLI and summarize.
 
-Exits nonzero if any verification fails.  The battery runs 31 commands:
+Exits nonzero if any verification fails.  The battery runs 32 commands:
 the series identities, the route sweep up to --n-max (default 6, where
 the matrix route's fiber sums at n = 6 are the slow part), one wide cell
 (n = 40, m = 20, k = 19) on which the partition, Young, generating and
 recursion routes must agree, the derivative module and annihilation for
-n <= 3, the n = 4 derivative module and annihilation, and the mean value
-property of the alternating polynomial at every k for n <= 5.  Each
-command's wall time is printed after its output, and the battery's total
-at the end.
+n <= 3, the n = 4 derivative module and annihilation, annihilation at
+n = 5, and the mean value property of the alternating polynomial at
+every k for n <= 5.  Each command's wall time is printed after its
+output, and the battery's total at the end.
 """
 
 import argparse
@@ -35,6 +35,7 @@ def main():
         batches.append(["verify", "annihilation", "--n", str(n)])
     batches.append(["verify", "dimension", "--n", "4", "--allow-large"])
     batches.append(["verify", "annihilation", "--n", "4"])
+    batches.append(["verify", "annihilation", "--n", "5"])
     for n in range(1, 6):
         for k in range(n + 1):
             batches.append(["verify", "mvp", "--n", str(n), "--k", str(k), "--delta"])

@@ -185,10 +185,10 @@ def _mvp(args):
 
 def _annihilation(args):
     """Exponent entries of applying every skeleton invariant of degree
-    2m <= 2n to Delta_n: (n+1) C(m+n-1, n-1) operator terms per m, each 2m
-    derivatives of n! terms, and sum_m m C(m+n-1, n-1) = n C(2n, n+1)."""
+    2m <= 2n to Delta_n: (n+1) C(m+n-1, n-1) operator terms per m, each
+    one pass over the n! terms, and sum_m C(m+n-1, n-1) = C(2n, n) - 1."""
     n = args.n
-    return [("exponent entries", (n + 1) * 2 * n * _comb(2 * n, n + 1) * _factorial(n) * n)]
+    return [("exponent entries", (n + 1) * (_comb(2 * n, n) - 1) * _factorial(n) * n)]
 
 
 # command: its parsed arguments -> the (kind, estimate) pairs `cli.main`

@@ -123,10 +123,11 @@ def apply_as_operator(operator, f):
     (each monomial becomes the matching mixed derivative) and apply it."""
     if operator.nvars != f.nvars:
         raise ValueError("variable count mismatch")
-    total = MultiPoly.zero(f.nvars)
+    total = {}
     for exps, c in operator.terms.items():
-        total = total + c * f.partial_power(exps)
-    return total
+        for key, d in f.partial_power(exps).terms.items():
+            total[key] = total.get(key, 0) + c * d
+    return MultiPoly(f.nvars, total)
 
 
 def annihilates_alternating(n, m, k):

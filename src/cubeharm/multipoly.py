@@ -6,6 +6,8 @@ order so repeated runs emit identical bytes.
 """
 
 from fractions import Fraction
+from math import perm, prod
+from operator import sub
 
 from .unipoly import signed_sum
 
@@ -35,10 +37,6 @@ class MultiPoly:
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def constant(cls, nvars, c):
@@ -102,26 +100,22 @@ class MultiPoly:
 
     def partial(self, index):
         """Partial derivative with respect to variable `index`."""
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if not e:
-                continue
-            key = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return MultiPoly(self.nvars, out)
+        return self.partial_power((0,) * index + (1,) + (0,) * (self.nvars - index - 1))
 
     def partial_power(self, orders):
-        """Apply the mixed derivative with the given order per variable."""
+        """Apply the mixed derivative with the given order per variable, in
+        one pass: x**e goes to prod perm(e_i, o_i) x**(e - o), the integer
+        falling factorials being 0 once some o_i > e_i."""
         if len(orders) != self.nvars:
             raise ValueError("order vector length mismatch")
-        result = self
-        for index, reps in enumerate(orders):
-            for _ in range(reps):
-                result = result.partial(index)
-                if result.is_zero():
-                    return result
-        return result
+        if min(orders) < 0:
+            raise ValueError("derivative orders must be >= 0")
+        out = {}
+        for exps, c in self.terms.items():
+            scale = prod(map(perm, exps, orders))
+            if scale:
+                out[tuple(map(sub, exps, orders))] = c * scale
+        return MultiPoly(self.nvars, out)
 
     def extended(self, nvars):
         """Embed into a ring with extra trailing variables."""

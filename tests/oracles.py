@@ -83,7 +83,7 @@ def complete_homogeneous(degree, args):
         for _ in range(degree):
             cache.append(cache[-1] * p)
         powers.append(cache)
-    total = MultiPoly.zero(nvars)
+    total = MultiPoly(nvars)
     for split in compositions(degree, len(args)):
         term = MultiPoly.constant(nvars, 1)
         for cache, e in zip(powers, split):
@@ -97,7 +97,7 @@ def complete_homogeneous(degree, args):
 def suffix_sums(n):
     """The polynomials x_i + x_{i+1} + ... + x_n for i = 1..n."""
     sums = []
-    acc = MultiPoly.zero(n)
+    acc = MultiPoly(n)
     for i in range(n - 1, -1, -1):
         acc = acc + MultiPoly.monomial(tuple(int(j == i) for j in range(n)))
         sums.append(acc)

@@ -142,7 +142,7 @@ def test_criterion_7_definitional_equivalences():
     for n in range(1, 4):
         for k in range(n + 1):
             for m in range(5):
-                brute = MultiPoly.zero(n)
+                brute = MultiPoly(n)
                 for cs in compositions(m, n):
                     for mat in quad_matrices_with_colsums(n, k, cs):
                         brute = brute + _brute_ratio(mat) * MultiPoly.monomial(mat.col_sums)
@@ -152,7 +152,7 @@ def test_criterion_7_definitional_equivalences():
         for k in range(n + 1):
             for m in range(5):
                 h = flag_moment(n, k, m)
-                avg = MultiPoly.zero(n)
+                avg = MultiPoly(n)
                 for signs in product((1, -1), repeat=n):
                     avg = avg + signed_permute(h, signs=signs)
                 ok = ok and flag_moment_even(n, k, m) == avg * Fraction(1, 2 ** n)
@@ -161,7 +161,7 @@ def test_criterion_7_definitional_equivalences():
         for k in range(n + 1):
             for degree in range(7):
                 h = flag_moment(n, k, degree)
-                avg = MultiPoly.zero(n)
+                avg = MultiPoly(n)
                 for perm in permutations(range(n)):
                     for signs in product((1, -1), repeat=n):
                         avg = avg + signed_permute(h, signs=signs, perm=perm)

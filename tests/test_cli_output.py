@@ -162,6 +162,7 @@ def test_results_past_the_int_string_limit(capsys, argv):
 # n = 4 and 5 many fibers that each cost more than their state steps.
 TOO_LARGE = [
     "verify mvp --n 10 --k 2",
+    "verify annihilation --n 6",
     "invariant --n 7 --m 14 --k 7",
     "invariant --n 9 --m 12 --k 3 --what h",
     "invariant --n 2 --m 1600 --k 1 --what g",
@@ -199,6 +200,7 @@ def test_large_request_is_refused_at_once(argv):
 # command starts with its route.
 STARTS = {
     "verify mvp --n 10 --k 2": "cubeharm.invariants.fundamental_alternating",
+    "verify annihilation --n 6": "cubeharm.harmonics.annihilates_alternating",
     "invariant --n 7 --m 14 --k 7": "cubeharm.invariants.skeleton_invariant",
     "invariant --n 9 --m 12 --k 3 --what h": "cubeharm.invariants.flag_moment",
     "invariant --n 2 --m 1600 --k 1 --what g": "cubeharm.invariants.flag_moment_even",

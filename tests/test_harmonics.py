@@ -196,6 +196,21 @@ class TestAnnihilation:
     def test_degree_drop_case(self):
         assert annihilates_alternating(1, 1, 0)
 
+    def test_everything_at_four(self):
+        assert all(annihilates_alternating(4, m, k) for m in range(1, 5) for k in range(5))
+
+    @pytest.mark.large
+    def test_everything_at_five(self):
+        assert all(annihilates_alternating(5, m, k) for m in range(1, 6) for k in range(6))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_invariant_operator_leaves_a_remainder(self, n):
+        delta = fundamental_alternating(n)
+        d1_squared = MultiPoly.monomial((2,) + (0,) * (n - 1))
+        result = apply_as_operator(d1_squared, delta)
+        assert not result.is_zero()
+        assert result == delta.partial(0).partial(0)
+
 
 @pytest.mark.large
 class TestFourDimensionalOptIn:

@@ -12,7 +12,7 @@ def flag_moment_by_expansion(n, k, m):
     """h_m of the first k + 1 suffix sums, the empty sum included at k = n."""
     args = suffix_sums(n)[: k + 1]
     if k == n:
-        args.append(MultiPoly.zero(n))
+        args.append(MultiPoly(n))
     return complete_homogeneous(m, args)
 
 

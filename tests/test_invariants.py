@@ -32,7 +32,7 @@ def brute_factorial_ratio(mat):
 
 def flag_moment_by_matrix_sum(n, k, m):
     """Independent oracle: staircase matrices with entries summing to m."""
-    total = MultiPoly.zero(n)
+    total = MultiPoly(n)
     for cs in compositions(m, n):
         for mat in quad_matrices_with_colsums(n, k, cs):
             total = total + brute_factorial_ratio(mat) * MultiPoly.monomial(mat.col_sums)
@@ -41,7 +41,7 @@ def flag_moment_by_matrix_sum(n, k, m):
 
 def even_part_by_sign_average(n, k, m):
     h = flag_moment(n, k, m)
-    total = MultiPoly.zero(n)
+    total = MultiPoly(n)
     for signs in product((1, -1), repeat=n):
         total = total + signed_permute(h, signs=signs)
     return total * Fraction(1, 2 ** n)
@@ -49,7 +49,7 @@ def even_part_by_sign_average(n, k, m):
 
 def invariant_by_group_average(n, k, m):
     h = flag_moment(n, k, m)
-    total = MultiPoly.zero(n)
+    total = MultiPoly(n)
     for perm in permutations(range(n)):
         for signs in product((1, -1), repeat=n):
             total = total + signed_permute(h, signs=signs, perm=perm)
@@ -70,7 +70,7 @@ class TestCompleteHomogeneous:
     def test_trailing_zero_argument_is_dropped(self):
         t1 = MultiPoly.monomial((1, 0))
         t2 = MultiPoly.monomial((0, 1))
-        zero = MultiPoly.zero(2)
+        zero = MultiPoly(2)
         for m in range(4):
             assert complete_homogeneous(m, [t1, t2, zero]) == complete_homogeneous(m, [t1, t2])
 

@@ -43,6 +43,12 @@ def test_partial_derivatives():
     assert p.partial_power((1, 1)) == MultiPoly(2, {(2, 0): 3, (0, 2): -3})
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_partial_refuses_a_missing_variable(index):
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(3, 1): 1}).partial(index)
+
+
 def test_signed_permute():
     p = MultiPoly(2, {(3, 1): 1})
     swapped = signed_permute(p, perm=(1, 0))

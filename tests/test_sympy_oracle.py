@@ -1,5 +1,5 @@
-"""Independent checks of the elimination kernel and the Bernoulli series
-against sympy, which is an optional test-only oracle."""
+"""Independent checks of the elimination kernel, the derivative kernel and
+the Bernoulli series against sympy, which is an optional test-only oracle."""
 
 from fractions import Fraction
 
@@ -16,6 +16,7 @@ from cubeharm.linalg import (  # noqa: E402
     UnderdeterminedSystemError,
     solve_or_rank,
 )
+from cubeharm.multipoly import MultiPoly  # noqa: E402
 
 ORDER = 20
 
@@ -58,6 +59,31 @@ def test_rank_and_solution_match_sympy(system):
             solve_or_rank(matrix, rhs)
     else:
         assert solve_or_rank(matrix, rhs) == [_fraction(x) for x in solution]
+
+
+polys3 = st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=8,
+).map(lambda terms: MultiPoly(3, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys3, st.tuples(*[st.integers(0, 4)] * 3))
+def test_partial_power_matches_sympy(f, orders):
+    xs = sympy.symbols("x1:4")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, exps))
+        for exps, c in f.terms.items()
+    )
+    derived = sympy.Poly(sympy.diff(expr, *zip(xs, orders)), *xs)
+    expected = {exps: _fraction(c) for exps, c in derived.terms() if c}
+    assert f.partial_power(orders) == MultiPoly(3, expected)
+
+
+def test_negative_order_is_refused():
+    with pytest.raises(ValueError):
+        MultiPoly(3, {(2, 1, 0): 1}).partial_power((0, -1, 1))
 
 
 def test_bernoulli_matches_sympy():

@@ -4,9 +4,9 @@ The coefficient c(n, m, k) multiplies the top elementary symmetric
 polynomial of the squared variables in the degree-2m skeleton invariant.
 Routes implemented here:
 
-  matrix      signed sum over ordered partitions nu, each column-sum fiber
-              of staircase matrices summed column by column (n <= 6 in
-              the sweep)
+  matrix      signed sum over the staircase matrices of every column-sum
+              fiber at once, one integer dynamic program over the columns
+              (n <= 6 in the sweep)
   partition   the same signed sum with each fiber by its closed form, as an
               integer dynamic program over the positions of nu
   young       generating polynomial assembled over Young diagrams, summed
@@ -26,17 +26,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, perm
+from itertools import accumulate, islice
+from math import factorial, gcd, lcm, perm, prod
+from operator import add
 
 from . import cost, generating
 from .bernoulli import scaled_bernoulli
-from .combinat import compositions, fiber_weight, young_diagrams
+from .combinat import compositions, young_diagrams
 from .invariants import expand_in_elementary_basis
 from .unipoly import UniPoly, binomial_poly
 
 __all__ = [
     "CoefficientRecord",
-    "partition_sign_weight",
     "young_weight",
     "coeff_by_matrix_sum",
     "coeff_by_partition_sum",
@@ -69,23 +70,13 @@ def _validate(n, m, k):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
-def partition_sign_weight(n, m, nu):
-    """Closed form m * (-1)**(l-1) * (l-1)! * (n-l)! with l positive parts.
+def _sign_weight(n, m, ell):
+    """Closed form m * (-1)**(l-1) * (l-1)! * (n-l)! of an ordered
+    partition nu of m into n nonnegative parts with l positive parts.
 
     For n >= m this equals the signed root-of-unity permutation sum
-    attached to an ordered partition nu of m into n nonnegative parts;
-    the coefficient sums only ever evaluate it there.
+    attached to nu; the coefficient sums only ever evaluate it there.
     """
-    if len(nu) != n:
-        raise ValueError("partition length must equal n")
-    if sum(nu) != m or any(v < 0 for v in nu):
-        raise ValueError("expected nonnegative entries summing to m")
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return _sign_weight(n, m, sum(1 for v in nu if v))
-
-
-def _sign_weight(n, m, ell):
     return m * (-1) ** (ell - 1) * factorial(ell - 1) * factorial(n - ell)
 
 
@@ -116,18 +107,59 @@ def young_weight(k, parts):
 
 
 def coeff_by_matrix_sum(n, m, k):
-    """Signed sum over staircase matrices, each fiber summed column by column.
+    """Signed sum over staircase matrices, as one dynamic program over the
+    columns for every fiber at once.
 
-    The value is (-1)**(m-1)/n! times the sum, over the ordered partitions
-    nu of m into n parts, of partition_sign_weight(n, m, nu) times the
-    staircase weight of the fiber with column sums 2 nu.
+    The value is (-1)**(m-1)/n! times the sum, over the (k+1) x n staircase
+    matrices with even column sums 2 nu_j adding up to 2m, of the sign
+    weight `_sign_weight` at the number l of nonzero columns times the
+    matrix weight prod R_i! / prod e!, R_i its row sums and e its entries.
+    Column j splits its sum 2v over its first min(j, k+1) rows with the
+    integer weight (2m)! / prod e!.  A state is the flat tuple of the
+    partial row sums and l so far; its value is the integer sum of the
+    column weights that reach it.  The last column takes what is left of
+    2m, and each state adds prod R_i! over its splits times the sign
+    weight straight into the total, which is divided once by
+    n! ((2m)!)**n.  That closing sum depends only on the row sums, so it
+    is computed once per row-sum vector.
     """
     _validate(n, m, k)
-    total = sum(
-        partition_sign_weight(n, m, nu) * fiber_weight(n, k, tuple(2 * v for v in nu))
-        for nu in compositions(m, n)
-    )
-    return Fraction((-1) ** (m - 1) * total, factorial(n))
+    nrows = min(k + 1, n)
+    fact = [factorial(i) for i in range(2 * m + 1)]
+    # by_free[f][v]: the splits of 2v over the first f rows with their weights
+    by_free = [None] + [
+        [
+            [(split + (0,) * (nrows - f), fact[2 * m] // prod(map(fact.__getitem__, split)))
+             for split in compositions(2 * v, f)]
+            for v in range(m + 1)
+        ]
+        for f in range(1, nrows + 1)
+    ]
+    states = {(0,) * (nrows + 1): 1}
+    for j in range(1, n):
+        by_v = by_free[min(j, nrows)]
+        # each split ends with the count of nonzero columns it adds
+        steps = [(split + (v > 0,), w) for v in range(m + 1) for split, w in by_v[v]]
+        upto = list(accumulate(len(splits) for splits in by_v))
+        grown = {}
+        for state, value in states.items():
+            rest = m - (sum(state) - state[-1]) // 2
+            for split, w in islice(steps, upto[rest]):
+                key = tuple(map(add, state, split))
+                grown[key] = grown.get(key, 0) + value * w
+        states = grown
+    total = 0
+    last = by_free[nrows]
+    closings = {}  # the last column's weights times prod R_i!, per partial row sums
+    for state, value in states.items():
+        rows = state[:-1]
+        rest = m - sum(rows) // 2
+        if rows not in closings:
+            closings[rows] = sum(
+                w * prod(map(fact.__getitem__, map(add, rows, split))) for split, w in last[rest]
+            )
+        total += _sign_weight(n, m, state[-1] + (rest > 0)) * value * closings[rows]
+    return Fraction((-1) ** (m - 1) * total, factorial(n) * fact[2 * m] ** n)
 
 
 def coeff_by_partition_sum(n, m, k):

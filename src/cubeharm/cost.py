@@ -6,9 +6,10 @@ members.  So before it does any work, each command estimates what it is
 about to compute, by closed-form arithmetic (its entry in COMMANDS), and
 `check` refuses an estimate over its limit in LIMITS unless large work
 is allowed (`--allow-large` on the command line).  A limit admits a
-command that ends within seconds on a 2-core machine; the slowest
-admitted, at about 7 s, is the matrix route's cell (6, 6, 6), which the
-n <= 6 sweep needs.  Past a limit the work grows fast.  The library
+command that ends within seconds on a 2-core machine: the matrix
+route's cell (6, 6, 6), which the n <= 6 sweep needs, takes well under
+a second, and the slowest fiber-DP commands the limit admits about 5 s.
+Past a limit the work grows fast.  The library
 checks nothing in advance, except the derivative module through
 `allow_large`.
 """
@@ -93,26 +94,86 @@ def _partitions(m):
     return min(int(exp(pi * sqrt(2 * m / 3)) / (4 * sqrt(3) * m)) + 1, HUGE)
 
 
+def _column_steps(total, rows, free, before, after):
+    """State-by-split steps at one column of a staircase column DP.
+
+    The state before the column is its vector of row sums over `rows`
+    rows, and the column splits its sum over `free` rows.  The count runs
+    over every such pair together with a composition of the row-sum total
+    into `before` parts and one of what the column leaves into `after`
+    parts, all adding up to `total`.  By Vandermonde's identity and
+    C(P+a, a) C(P+b, b) = sum_i C(a, i) C(b, i) C(P-i+a+b, a+b) it is
+    sum_i C(before-1, i) C(rows-1, i) C(total-i+d, d) with d = before +
+    rows + free + after - 2, or C(total+d, d) with d = free + after - 1
+    when there are no rows yet (and no row-sum total to split)."""
+    if rows == 0:
+        return _comb(total + free + after - 1, free + after - 1)
+    d = before + rows + free + after - 2
+    terms = min(before - 1, rows - 1, max(total, -1)) + 1
+    return sum(
+        _comb(before - 1, i) * _comb(rows - 1, i) * _comb(total - i + d, d) for i in range(terms)
+    )
+
+
+def _matrix_dp(n, m, k):
+    """Steps of `coefficients.coeff_by_matrix_sum`, one DP over all fibers.
+
+    Before column j the state is the row sums over r = min(j-1, K) rows,
+    K = min(k+1, n), and one of at most m + 1 counts of nonzero columns.
+    The column splits 2v over f = min(j, K) rows, and all of it adds up to
+    at most 2m: `_column_steps` with one part before and one after, which
+    is C(2m+r+f, 2m).  Row sums and splits are even in total, which keeps
+    about a quarter of them.  Past column K every column is alike; up to
+    it r + f = 2j - 1 runs over the odd numbers, whose binomials sum to
+    about half the hockey stick.  The last column takes what is left and
+    sees each row-sum vector once.  This is 1 to 3 times the steps
+    counted on every cell with n <= 7 and at least 5,000 steps, and it
+    costs a few operations at any n."""
+    rows = min(k + 1, n)
+    inner = min(rows, n - 1)
+    steps = m + 1  # column 1, one split per v
+    if inner >= 2:
+        steps += (m + 1) * (_comb(2 * m + 2 * inner, 2 * m + 1) - (2 * m + 2)) // 8
+    steps += max(n - 1 - rows, 0) * (m + 1) * _column_steps(2 * m, rows, rows, 1, 1) // 4
+    last = min(n - 1, rows)
+    return steps + _column_steps(2 * m, last, rows, 1, 0) // (4 if last else 2)
+
+
 def _fiber_dp(n, total, k, step):
     """Work of `combinat.fiber_weight` over the C(total/step + n-1, n-1)
     fibers of column sums step * nu, nu a composition of total / step.
-    A fiber takes C(total+K, K) row sums on K + 1 = min(k+1, n) rows over
-    n - K columns, in integers of about total log(total) bits: a step
-    counts 1 + total // 25 times, and the closing factorial products and
-    divisions of a fiber (total // 25)**2 times.  Each fiber also costs
-    3n steps whatever its column sums: it builds each column's splits and
-    multinomials, and closes with a factorial per row and a division per
-    column, which at k = 0 (one split per column) is three times its
-    state steps.  The state steps were fitted to those counted on every
-    cell with n <= 7 (within a factor of 2.4), but undercount large
-    column sums at K >= 2 (5.4 times at n = 4, K = 2, total 38), which the
-    size factor covers.  Timed on a 2-core machine, the slowest admitted
-    invariant with n <= 5 at the largest m the limit admits ran 6 s."""
-    rows = max(0, min(k, n - 1))
-    size = max(total, 0) // 25
-    steps = (n - rows) * _comb(total + rows, rows)
-    fiber = steps * (1 + size) + size * size + 3 * n
-    return _comb(total // step + n - 1, n - 1) * fiber
+
+    Column j of a fiber sees the row sums over r = min(j-1, K) rows, K =
+    min(k+1, n), and splits its sum over min(j, K) rows.  Over every fiber
+    of column total `total` these steps are `_column_steps` with j-1
+    parts before the column and n-j after, of which a staircase reaches
+    about (j - r) / (j - 1), since each row fills only from its own column
+    on; the fibers of step 2 are their share of those of step 1.  This is
+    0.46 to 1 times the steps counted on every fiber family with 2 <= n
+    <= 7 and at least 20,000 steps.  Their integers grow to about total
+    log(total) bits, so a step counts 1 + total // 25 times.  Each fiber
+    also closes with a factorial per row and a division per column, a
+    product of about (total // 25)**2, and costs 3n whatever its column
+    sums, three times its steps at k = 0 (one split per column).  Timed
+    on a 2-core machine at the largest m the limit admits, the slowest
+    of 15 invariants with n <= 10 ran 5 s."""
+    if total < 0 or n < 1:
+        return 0
+    rows = min(k + 1, n)
+    fibers = _comb(total // step + n - 1, n - 1)
+    if fibers >= HUGE:
+        return HUGE
+    steps = sum(
+        _column_steps(total, min(j - 1, rows), min(j, rows), j - 1, n - j)
+        * (j - min(j - 1, rows))
+        // max(j - 1, 1)
+        for j in range(1, n + 1)
+    )
+    if steps >= HUGE:
+        return HUGE
+    steps = steps * fibers // comb(total + n - 1, n - 1)
+    size = total // 25
+    return steps * (1 + size) + fibers * (size * size + 3 * n)
 
 
 def _recursion_cells(n, m):
@@ -122,7 +183,7 @@ def _recursion_cells(n, m):
 
 # route: (n, m, k) -> the (kind, estimate) pairs of one coefficient
 ROUTE_COSTS = {
-    "matrix": lambda n, m, k: [("fiber DP", _fiber_dp(n, 2 * m, k, 2))],
+    "matrix": lambda n, m, k: [("fiber DP", _matrix_dp(n, m, k))],
     "partition": lambda n, m, k: [("partition DP", n * (m + 1) ** 3)],
     # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
     "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", m * n * n)],
@@ -150,17 +211,20 @@ def _gen(args):
 def _invariant(args):
     """Exponent entries the invariant polynomial writes, and for h, g and
     tau the fiber DP that gives their coefficients: one fiber per term,
-    over the column total m (h) or 2 (m/2) (g and tau)."""
+    over the column total m (h) or 2 (m/2) (g and tau).  The entries come
+    first and the fiber DP is estimated only once they pass, since its
+    estimate takes a step per column."""
     what, n, m, k = args.what, args.n, args.m, args.k
     if what == "delta":
         # C(n, 2) products, each at most doubling the terms up to n!
-        return [("exponent entries", _factorial(n) * n**3)]
-    if what == "e":
-        return [("exponent entries", _comb(n, m) * n)]
-    step = 1 if what == "h" else 2
-    total = m if m % step == 0 else -step  # an odd degree is zero at once
-    terms = _comb(total // step + n - 1, n - 1)
-    return [("fiber DP", _fiber_dp(n, total, k, step)), ("exponent entries", terms * n)]
+        yield "exponent entries", _factorial(n) * n**3
+    elif what == "e":
+        yield "exponent entries", _comb(n, m) * n
+    else:
+        step = 1 if what == "h" else 2
+        total = m if m % step == 0 else -step  # an odd degree is zero at once
+        yield "exponent entries", _comb(total // step + n - 1, n - 1) * n
+        yield "fiber DP", _fiber_dp(n, total, k, step)
 
 
 def averaging(exponents):

@@ -7,7 +7,9 @@ the orbit-by-orbit permutation average that define the hyperoctahedral
 averages, the rebuilding of an invariant from its elementary-basis
 expansion, the recursion sweep and the generating-polynomial recursion
 in `Fraction` arithmetic, the Bernstein form by binomial expansion, the
-staircase closed form, and elimination on dense rows.
+staircase closed form, the checked sign weight of an ordered partition
+and the matrix route's signed sum fiber by fiber, and elimination on
+dense rows.
 """
 
 from collections import Counter
@@ -17,8 +19,8 @@ from itertools import permutations
 from math import comb, factorial
 
 from cubeharm.bernoulli import scaled_bernoulli
-from cubeharm.coefficients import _degree_two_count, closed_form
-from cubeharm.combinat import compositions
+from cubeharm.coefficients import _degree_two_count, _sign_weight, closed_form
+from cubeharm.combinat import compositions, fiber_weight
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly, grlex_key
 from cubeharm.unipoly import UniPoly, binomial_poly
@@ -247,6 +249,32 @@ def matrix_weight(n, k, nu):
         partial += v
         den *= factorial(v) * (partial + j if j <= k else 1)
     return Fraction(factorial(partial + k), den)
+
+
+def partition_sign_weight(n, m, nu):
+    """The sign weight of an ordered partition nu of m into n parts,
+    checked: `coefficients._sign_weight` at its number of positive parts."""
+    if len(nu) != n:
+        raise ValueError("partition length must equal n")
+    if sum(nu) != m or any(v < 0 for v in nu):
+        raise ValueError("expected nonnegative entries summing to m")
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return _sign_weight(n, m, sum(1 for v in nu if v))
+
+
+def matrix_sum_by_fibers(n, m, k):
+    """The matrix route's signed sum with one fiber DP per ordered partition.
+
+    (-1)**(m-1)/n! times the sum, over the ordered partitions nu of m into
+    n parts, of partition_sign_weight(n, m, nu) times
+    `combinat.fiber_weight` at the column sums 2 nu.
+    """
+    total = sum(
+        partition_sign_weight(n, m, nu) * fiber_weight(n, k, tuple(2 * v for v in nu))
+        for nu in compositions(m, n)
+    )
+    return Fraction((-1) ** (m - 1) * total, factorial(n))
 
 
 def dense_independent_subset(polys):

@@ -13,7 +13,6 @@ from math import factorial
 
 from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import (
-    partition_sign_weight,
     recursion_table,
     route_records,
     young_weight,
@@ -34,7 +33,7 @@ from cubeharm.harmonics import (
 from cubeharm.invariants import flag_moment, flag_moment_even, skeleton_invariant
 from cubeharm.multipoly import MultiPoly
 from cubeharm.unipoly import ONE, T, UniPoly
-from oracles import matrix_weight, power, signed_permute
+from oracles import matrix_weight, partition_sign_weight, power, signed_permute
 from staircase import quad_matrices_with_colsums
 
 

@@ -1,6 +1,7 @@
 """The CLI's output path: golden bytes, the --out file and the cached parser."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -109,6 +110,22 @@ def test_verify_routes_runs_the_matrix_route_at_six(capsys):
     for n, routes in lines:
         assert "matrix" in routes
         assert ("oracle" in routes) == (n <= 3)
+
+
+# sha256 of the stdout of the n = 6 sweep, recorded while the matrix route
+# still summed each fiber on its own
+SWEEP_DIGESTS = {
+    "table --n 6 --format csv": "89ba9829b317d3cc694e65918a600779cafb91997231cb3b759361350c5f5078",
+    "verify routes --n-max 6": "3f4465406f7e3c412d308773c0794c804cefe0dc612a1b379839b27ef2fbf20e",
+}
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("argv", SWEEP_DIGESTS)
+def test_sweep_at_six_keeps_its_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[argv]
 
 
 def test_partition_route_with_many_parts(capsys):

@@ -17,13 +17,17 @@ from cubeharm.coefficients import (
     coeff_by_recursion,
     coeff_by_young_sum,
     coefficient_record,
-    partition_sign_weight,
     recursion_table,
     route_records,
     young_weight,
 )
 from cubeharm.combinat import compositions
-from oracles import fraction_recursion_table, matrix_weight
+from oracles import (
+    fraction_recursion_table,
+    matrix_sum_by_fibers,
+    matrix_weight,
+    partition_sign_weight,
+)
 from staircase import quad_matrices_with_colsums
 
 
@@ -144,6 +148,12 @@ class TestRoutes:
         assert coeff_by_matrix_sum(2, 1, 0) == 1
         assert coeff_by_matrix_sum(2, 1, 1) == 2
         assert coeff_by_matrix_sum(2, 1, 2) == 2
+
+    def test_matrix_matches_fiber_by_fiber_sum(self):
+        for n in range(1, 6):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    assert coeff_by_matrix_sum(n, m, k) == matrix_sum_by_fibers(n, m, k), (n, m, k)
 
     def test_partition_examples(self):
         assert coeff_by_partition_sum(2, 1, 1) == 2
@@ -309,11 +319,11 @@ class TestRecursionTable:
 
 class TestRouteIndependence:
     @staticmethod
-    def _forbid(monkeypatch, name):
+    def _forbid(monkeypatch, name, module="cubeharm.coefficients", raising=True):
         def refuse(*args):
             raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(f"cubeharm.coefficients.{name}", refuse)
+        monkeypatch.setattr(f"{module}.{name}", refuse, raising=raising)
 
     def test_enumerating_routes_skip_closed_form(self):
         assert not hasattr(coefficients, "matrix_weight")
@@ -321,8 +331,17 @@ class TestRouteIndependence:
         assert coeff_by_expansion(3, 2, 1) == coeff_by_young_sum(3, 2, 1)
 
     def test_partition_route_skips_enumeration(self, monkeypatch):
-        self._forbid(monkeypatch, "fiber_weight")
+        self._forbid(monkeypatch, "compositions")
         assert coeff_by_partition_sum(4, 2, 1) == coeff_by_young_sum(4, 2, 1)
+
+    def test_matrix_route_reads_no_fiber_sum_or_closed_form(self, monkeypatch):
+        expected = coeff_by_young_sum(5, 3, 2)
+        for name in ("_column_den", "closed_form", "coeff_by_partition_sum"):
+            self._forbid(monkeypatch, name)
+        self._forbid(monkeypatch, "fiber_weight", "cubeharm.combinat")
+        # a route that imported it by name would call it through coefficients
+        self._forbid(monkeypatch, "fiber_weight", raising=False)
+        assert coeff_by_matrix_sum(5, 3, 2) == expected
 
     def test_generating_route_skips_series_log(self, monkeypatch):
         def refuse(*args):
@@ -356,6 +375,12 @@ class TestRouteAgreement:
         for m in range(1, n + 1):
             for k in range(n + 1):
                 assert coeff_by_matrix_sum(n, m, k) == coeff_by_partition_sum(n, m, k)
+
+    @pytest.mark.large
+    def test_matrix_matches_partition_at_n7(self):
+        for m in range(1, 4):
+            for k in range(8):
+                assert coeff_by_matrix_sum(7, m, k) == coeff_by_partition_sum(7, m, k)
 
     def test_positivity_and_top_identities(self):
         table = recursion_table(5)

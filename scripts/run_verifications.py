@@ -2,8 +2,8 @@
 """Run the full verification battery through the CLI and summarize.
 
 Exits nonzero if any verification fails.  The battery runs 32 commands:
-the series identities, the route sweep up to --n-max (default 6, where
-the matrix route's column DP at n = 6 is the slow part), one wide cell
+the series identities, the route sweep up to --n-max (default 6, the
+largest n at which the matrix route joins the sweep), one wide cell
 (n = 40, m = 20, k = 19) on which the partition, Young, generating and
 recursion routes must agree, the derivative module and annihilation for
 n <= 3, the n = 4 derivative module and annihilation, annihilation at

@@ -10,10 +10,10 @@ Exit codes: 0 success (all verifications passed), 1 a verification
 failed, 2 usage or domain error, or a refusal: `main` first checks the
 command's cost estimates (`cost.COMMANDS`), and one over its limit stops
 it with one line naming the estimate, the limit and `--allow-large`,
-which every command takes to run anyway.  Machine formats render
-rationals as "p/q" strings, never as decimals; the text format may append a clearly
-marked decimal approximation.  Identical invocations produce identical
-bytes.
+which every command takes to run anyway, with no estimate at all.
+Machine formats render rationals as "p/q" strings, never as decimals;
+the text format may append a clearly marked decimal approximation.
+Identical invocations produce identical bytes.
 """
 
 import argparse
@@ -371,8 +371,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        for kind, estimate in args.costs(args):
-            cost.check(kind, estimate, args.allow_large)
+        if not args.allow_large:  # with the flag no check can refuse, so none is estimated
+            for kind, estimate in args.costs(args):
+                cost.check(kind, estimate)
         with _int_digits(0):  # an exact result may have any number of digits
             text, code = args.handler(args)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:

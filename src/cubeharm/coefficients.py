@@ -4,9 +4,9 @@ The coefficient c(n, m, k) multiplies the top elementary symmetric
 polynomial of the squared variables in the degree-2m skeleton invariant.
 Routes implemented here:
 
-  matrix      signed sum over the staircase matrices of every column-sum
-              fiber at once, one integer dynamic program over the columns
-              (n <= 6 in the sweep)
+  matrix      signed sum over the staircase matrices, as the flag moment
+              summed over the points {-1, 0, 1}**n by one integer dynamic
+              program (n <= 6 in the sweep)
   partition   the same signed sum with each fiber by its closed form, as an
               integer dynamic program over the positions of nu
   young       generating polynomial assembled over Young diagrams, summed
@@ -26,13 +26,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
-from math import factorial, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
 from . import cost, generating
 from .bernoulli import scaled_bernoulli
-from .combinat import compositions, young_diagrams
+from .combinat import young_diagrams
 from .invariants import expand_in_elementary_basis
 from .unipoly import UniPoly, binomial_poly
 
@@ -107,59 +106,48 @@ def young_weight(k, parts):
 
 
 def coeff_by_matrix_sum(n, m, k):
-    """Signed sum over staircase matrices, as one dynamic program over the
-    columns for every fiber at once.
+    """The signed sum over staircase matrices, from the flag moment h at
+    the 3**n points x in {-1, 0, 1}**n, by one dynamic program.
 
-    The value is (-1)**(m-1)/n! times the sum, over the (k+1) x n staircase
-    matrices with even column sums 2 nu_j adding up to 2m, of the sign
-    weight `_sign_weight` at the number l of nonzero columns times the
-    matrix weight prod R_i! / prod e!, R_i its row sums and e its entries.
-    Column j splits its sum 2v over its first min(j, k+1) rows with the
-    integer weight (2m)! / prod e!.  A state is the flat tuple of the
-    partial row sums and l so far; its value is the integer sum of the
-    column weights that reach it.  The last column takes what is left of
-    2m, and each state adds prod R_i! over its splits times the sign
-    weight straight into the total, which is divided once by
-    n! ((2m)!)**n.  That closing sum depends only on the row sums, so it
-    is computed once per row-sum vector.
+    [x^a] h, h = h_2m(T_1, ..., T_K), K = min(k+1, n), T_i = x_i + ... +
+    x_n, sums the staircase weights of the matrices with column sums a;
+    the value is (-1)**(m-1)/n! times the sum of w(l(a)) [x^a] h over the
+    even a, w = `_sign_weight` at the number l(a) of nonzero a_j.  Means
+    over sign vectors and Moebius inversion over supports make it the sum
+    of d(u) h(x) / 2**u over the points x with 1 <= u <= m nonzero
+    entries, d(u) = sum_{s=u}^m (-1)**(s-u) C(n-u, s-u) w(s).  States
+    (T_i, u) enter position K from C(n-K, u) C(u, p) points at T =
+    2p - u; each position i <= K branches x_i into 0, 1, -1 and multiplies
+    each state's integer z-series by 1 / (1 - T_i z) up to z**2m, whose
+    last entry sums h(x).
     """
     _validate(n, m, k)
-    nrows = min(k + 1, n)
-    fact = [factorial(i) for i in range(2 * m + 1)]
-    # by_free[f][v]: the splits of 2v over the first f rows with their weights
-    by_free = [None] + [
-        [
-            [(split + (0,) * (nrows - f), fact[2 * m] // prod(map(fact.__getitem__, split)))
-             for split in compositions(2 * v, f)]
-            for v in range(m + 1)
-        ]
-        for f in range(1, nrows + 1)
-    ]
-    states = {(0,) * (nrows + 1): 1}
-    for j in range(1, n):
-        by_v = by_free[min(j, nrows)]
-        # each split ends with the count of nonzero columns it adds
-        steps = [(split + (v > 0,), w) for v in range(m + 1) for split, w in by_v[v]]
-        upto = list(accumulate(len(splits) for splits in by_v))
+    rest = n - min(k + 1, n)
+    states = {
+        (2 * p - u, u): [comb(rest, u) * comb(u, p)] + [0] * (2 * m)
+        for u in range(min(rest, m) + 1)
+        for p in range(u + 1)
+    }
+    for _ in range(min(k + 1, n)):
         grown = {}
-        for state, value in states.items():
-            rest = m - (sum(state) - state[-1]) // 2
-            for split, w in islice(steps, upto[rest]):
-                key = tuple(map(add, state, split))
-                grown[key] = grown.get(key, 0) + value * w
-        states = grown
-    total = 0
-    last = by_free[nrows]
-    closings = {}  # the last column's weights times prod R_i!, per partial row sums
-    for state, value in states.items():
-        rows = state[:-1]
-        rest = m - sum(rows) // 2
-        if rows not in closings:
-            closings[rows] = sum(
-                w * prod(map(fact.__getitem__, map(add, rows, split))) for split, w in last[rest]
-            )
-        total += _sign_weight(n, m, state[-1] + (rest > 0)) * value * closings[rows]
-    return Fraction((-1) ** (m - 1) * total, factorial(n) * fact[2 * m] ** n)
+        for (t, u), series in states.items():
+            for x in (0, 1, -1) if u < m else (0,):
+                key = (t + x, u + (x != 0))
+                grown[key] = list(map(add, grown[key], series)) if key in grown else series
+        states = {}
+        for (t, u), series in grown.items():
+            acc = 0
+            states[t, u] = [acc := c + t * acc for c in series]
+    sign = {s: _sign_weight(n, m, s) for s in range(1, m + 1)}
+    weight = {
+        u: sum((-1) ** (s - u) * comb(n - u, s - u) * sign[s] for s in range(u, m + 1))
+        for u in sign
+    }
+    by_support = [0] * (m + 1)
+    for (_, u), series in states.items():
+        by_support[u] += series[-1]
+    total = sum(weight[u] * 2 ** (m - u) * by_support[u] for u in weight)
+    return Fraction((-1) ** (m - 1) * total, factorial(n) * 2**m)
 
 
 def coeff_by_partition_sum(n, m, k):

@@ -5,16 +5,14 @@ derivative module has dimension 2**n n!, and the invariant basis has p(m)
 members.  So before it does any work, each command estimates what it is
 about to compute, by closed-form arithmetic (its entry in COMMANDS), and
 `check` refuses an estimate over its limit in LIMITS unless large work
-is allowed (`--allow-large` on the command line).  A limit admits a
-command that ends within seconds on a 2-core machine: the matrix
-route's cell (6, 6, 6), which the n <= 6 sweep needs, takes well under
-a second, and the slowest fiber-DP commands the limit admits about 5 s.
-Past a limit the work grows fast.  The library
-checks nothing in advance, except the derivative module through
-`allow_large`.
+is allowed (`--allow-large` on the command line, with which no
+estimate is computed at all).  A limit admits a command that ends
+within seconds on a 2-core machine, the slowest in about 5 s, and past
+it the work grows fast.  The library checks nothing in advance, except
+the derivative module through `allow_large`.
 """
 
-from math import comb, exp, factorial, pi, sqrt
+from math import comb, exp, factorial, isqrt, lgamma, log, pi, sqrt
 
 __all__ = [
     "TooLarge",
@@ -36,7 +34,7 @@ LIMITS = {
     "dimension": (3, "derivative-module variable count"),
     "factorial": (100_000, "factorial size n + 2m"),
     "fiber DP": (3_000_000, "fiber DP step estimate"),
-    "partition DP": (3_000_000, "partition DP step estimate n (m+1)^3"),
+    "partition DP": (3_000_000, "partition DP step estimate"),
     "Young diagrams": (1_000_000, "Young diagram part estimate p(m) m"),
     "lift": (100_000_000, "lift product estimate"),
     "generating family": (2_000_000, "generating-family product estimate m^3"),
@@ -115,28 +113,26 @@ def _column_steps(total, rows, free, before, after):
     )
 
 
-def _matrix_dp(n, m, k):
-    """Steps of `coefficients.coeff_by_matrix_sum`, one DP over all fibers.
-
-    Before column j the state is the row sums over r = min(j-1, K) rows,
-    K = min(k+1, n), and one of at most m + 1 counts of nonzero columns.
-    The column splits 2v over f = min(j, K) rows, and all of it adds up to
-    at most 2m: `_column_steps` with one part before and one after, which
-    is C(2m+r+f, 2m).  Row sums and splits are even in total, which keeps
-    about a quarter of them.  Past column K every column is alike; up to
-    it r + f = 2j - 1 runs over the odd numbers, whose binomials sum to
-    about half the hockey stick.  The last column takes what is left and
-    sees each row-sum vector once.  This is 1 to 3 times the steps
-    counted on every cell with n <= 7 and at least 5,000 steps, and it
-    costs a few operations at any n."""
+def _point_dp(n, m, k):
+    """Work of `coefficients.coeff_by_matrix_sum`, in fiber-DP steps: at
+    each of K = min(k+1, n) positions, L = n-K..n-1 in, C(min(L, m)+2, 2)
+    states make up to three updates of 2m+1 entries, plus six of fixed
+    cost.  Entries of about m log2(2n) + 2m log2(m) bits cost 1 + bits/1000
+    each, and the weights' m+1 factorials of about n cost n**1.5 log2(n)
+    / 200 entries each.  14 entries take about one fiber-DP step, and the
+    slowest cells admitted run about 5 s on a 2-core machine."""
+    if not 1 <= m <= n or not 0 <= k <= n:
+        return 0  # the route refuses the cell itself
     rows = min(k + 1, n)
-    inner = min(rows, n - 1)
-    steps = m + 1  # column 1, one split per v
-    if inner >= 2:
-        steps += (m + 1) * (_comb(2 * m + 2 * inner, 2 * m + 1) - (2 * m + 2)) // 8
-    steps += max(n - 1 - rows, 0) * (m + 1) * _column_steps(2 * m, rows, rows, 1, 1) // 4
-    last = min(n - 1, rows)
-    return steps + _column_steps(2 * m, last, rows, 1, 0) // (4 if last else 2)
+
+    def states_before(length):  # the states summed over L < length
+        return _comb(min(length, m + 1) + 2, 3) + max(length - m - 1, 0) * _comb(m + 2, 2)
+
+    updates = 3 * (states_before(n) - states_before(n - rows)) + _comb(min(n - rows, m) + 2, 2)
+    bits = m * (n.bit_length() + 1) + 2 * m * m.bit_length()
+    entries = updates * (2 * m + 7) * (1000 + bits) // 1000
+    factorials = (m + 1) * n * isqrt(n) * n.bit_length() // 200
+    return (entries + factorials) // 14
 
 
 def _fiber_dp(n, total, k, step):
@@ -176,6 +172,20 @@ def _fiber_dp(n, total, k, step):
     return steps * (1 + size) + fibers * (size * size + 3 * n)
 
 
+def _partition_dp(n, m):
+    """Steps of `coefficients.coeff_by_partition_sum`, n (m+1)**3, each 1 + bits / 80,000
+    times for the n log2((2m)!) bits its scale reaches (a float only in this estimate)."""
+    steps = n * (m + 1) ** 3
+    if steps >= HUGE:
+        return HUGE
+    return int(steps * (1 + n * lgamma(2 * max(m, 0) + 1) / log(2) / 80_000))
+
+
+def _lift(n, m):
+    """m n**2 products, each 1 + n / 6000 times for the n-bit binomials of (t+1)**n."""
+    return m * n * n * (6000 + n) // 6000
+
+
 def _recursion_cells(n, m):
     """Cells of `recursion_table(n)`, which only rows with m >= 2 build."""
     return n * (n + 1) * (n + 2) // 3 if m >= 2 else 0
@@ -183,10 +193,10 @@ def _recursion_cells(n, m):
 
 # route: (n, m, k) -> the (kind, estimate) pairs of one coefficient
 ROUTE_COSTS = {
-    "matrix": lambda n, m, k: [("fiber DP", _matrix_dp(n, m, k))],
-    "partition": lambda n, m, k: [("partition DP", n * (m + 1) ** 3)],
+    "matrix": lambda n, m, k: [("fiber DP", _point_dp(n, m, k))],
+    "partition": lambda n, m, k: [("partition DP", _partition_dp(n, m))],
     # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
-    "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", m * n * n)],
+    "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", _lift(n, m))],
     "generating": lambda n, m, k: [("generating family", m**3), ("factorial", n + 2 * m)],
     "recursion": lambda n, m, k: [("recursion table", _recursion_cells(n, m))],
     "oracle": lambda n, m, k: [("oracle", n)],
@@ -201,10 +211,10 @@ def _coeff(args):
 
 
 def _gen(args):
-    """The family up to m, lifted to n in n**2 m products; the Bernstein
-    form is built from G_m at size m, with no lift."""
+    """The family up to m, lifted to n (`_lift`); the Bernstein form is
+    built from G_m at size m, with no lift."""
     m, n = args.m, args.m if args.n is None else args.n
-    lift = [] if args.what == "F" else [("lift", n * n * m)]
+    lift = [] if args.what == "F" else [("lift", _lift(n, m))]
     return [("generating family", m**3), *lift]
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cubeharm.cli import emit_table, main
+from cubeharm.coefficients import ROUTES
 from cubeharm.cost import LIMITS
 from cubeharm.multipoly import MultiPoly
 
@@ -35,6 +36,12 @@ class TestCoeffCommand:
         code, _, err = run(capsys, "coeff", "--n", "1", "--m", "2", "--k", "0")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_route_estimate_leaves_a_bad_range_to_the_route(self, capsys, route):
+        code, out, err = run(capsys, "coeff", "--n", "-1", "--m", "1", "--k", "0", "--route", route)
+        assert (code, out) == (2, "")
+        assert err == "error: need 1 <= m <= n, got m=1, n=-1\n"
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -177,6 +177,8 @@ def test_results_past_the_int_string_limit(capsys, argv):
 # Each runs for about 10 s or more.  Of the invariants, the two at n = 2
 # have few fibers but integers of thousands of digits, and the three at
 # n = 4 and 5 many fibers that each cost more than their state steps.
+# The partition, Young and gen commands are within their step counts but
+# their integers grow with n.
 TOO_LARGE = [
     "verify mvp --n 10 --k 2",
     "verify annihilation --n 6",
@@ -188,10 +190,16 @@ TOO_LARGE = [
     "invariant --n 5 --m 49 --k 0 --what h",
     "invariant --n 5 --m 96 --k 0 --what g",
     "gen --m 200",
+    "gen --m 1 --n 10000",
     "verify identities --order 100000",
-    "coeff --n 8 --m 8 --k 4 --route matrix",
+    "coeff --n 90 --m 90 --k 89 --route matrix",
     "coeff --n 200 --m 150 --k 20 --route generating",
     "coeff --n 300 --m 200 --k 100 --route partition",
+    "coeff --n 375000 --m 1 --k 5 --route partition",
+    "coeff --n 200000 --m 1 --k 5 --route partition",
+    "coeff --n 46000 --m 3 --k 5 --route partition",
+    "coeff --n 10000 --m 1 --k 5 --route young",
+    "coeff --n 7000 --m 2 --k 5 --route young",
 ]
 
 
@@ -226,6 +234,7 @@ STARTS = {
     "invariant --n 5 --m 49 --k 0 --what h": "cubeharm.invariants.flag_moment",
     "invariant --n 5 --m 96 --k 0 --what g": "cubeharm.invariants.flag_moment_even",
     "gen --m 200": "cubeharm.generating.lifted_generating_poly",
+    "gen --m 1 --n 10000": "cubeharm.generating.lifted_generating_poly",
     "verify identities --order 100000": "cubeharm.generating.identity_report",
 }
 
@@ -246,6 +255,19 @@ def test_allow_large_starts_the_work(monkeypatch, argv):
         monkeypatch.setattr(STARTS[argv], started)
     with pytest.raises(Started):
         main([*words, "--allow-large"])
+
+
+def test_allow_large_estimates_nothing(capsys, monkeypatch):
+    """With the flag no check can refuse, so no estimate is computed."""
+    argv = ["invariant", "--n", "3", "--k", "1", "--m", "4", "--what", "g"]
+    expected = run(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("estimate computed")
+
+    monkeypatch.setattr("cubeharm.cost._fiber_dp", refuse)
+    assert expected[0] == 0
+    assert run(capsys, *argv, "--allow-large") == expected
 
 
 # One small command per kind of check in the cost table; "{f}" stands for

@@ -155,6 +155,12 @@ class TestRoutes:
                 for k in range(n + 1):
                     assert coeff_by_matrix_sum(n, m, k) == matrix_sum_by_fibers(n, m, k), (n, m, k)
 
+    def test_matrix_matches_partition(self):
+        for n in range(1, 11):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    assert coeff_by_matrix_sum(n, m, k) == coeff_by_partition_sum(n, m, k), (n, m, k)
+
     def test_partition_examples(self):
         assert coeff_by_partition_sum(2, 1, 1) == 2
         assert coeff_by_partition_sum(3, 1, 1) == Fraction(7, 3)
@@ -331,16 +337,27 @@ class TestRouteIndependence:
         assert coeff_by_expansion(3, 2, 1) == coeff_by_young_sum(3, 2, 1)
 
     def test_partition_route_skips_enumeration(self, monkeypatch):
-        self._forbid(monkeypatch, "compositions")
+        self._forbid(monkeypatch, "compositions", "cubeharm.combinat")
+        self._forbid(monkeypatch, "compositions", raising=False)
         assert coeff_by_partition_sum(4, 2, 1) == coeff_by_young_sum(4, 2, 1)
 
     def test_matrix_route_reads_no_fiber_sum_or_closed_form(self, monkeypatch):
+        """Of the other routes' parts the matrix route reads only `_sign_weight`."""
         expected = coeff_by_young_sum(5, 3, 2)
-        for name in ("_column_den", "closed_form", "coeff_by_partition_sum"):
+        for name in (
+            "_column_den",
+            "closed_form",
+            "coeff_by_partition_sum",
+            "young_diagrams",
+            "recursion_table",
+            "scaled_bernoulli",
+        ):
             self._forbid(monkeypatch, name)
-        self._forbid(monkeypatch, "fiber_weight", "cubeharm.combinat")
-        # a route that imported it by name would call it through coefficients
-        self._forbid(monkeypatch, "fiber_weight", raising=False)
+        self._forbid(monkeypatch, "coefficient_from_family", "cubeharm.generating")
+        for name in ("fiber_weight", "compositions"):
+            self._forbid(monkeypatch, name, "cubeharm.combinat")
+            # a route that imported it by name would call it through coefficients
+            self._forbid(monkeypatch, name, raising=False)
         assert coeff_by_matrix_sum(5, 3, 2) == expected
 
     def test_generating_route_skips_series_log(self, monkeypatch):
@@ -381,6 +398,18 @@ class TestRouteAgreement:
         for m in range(1, 4):
             for k in range(8):
                 assert coeff_by_matrix_sum(7, m, k) == coeff_by_partition_sum(7, m, k)
+
+    @pytest.mark.large
+    def test_matrix_matches_recursion_to_16(self):
+        table = recursion_table(16)
+        assert len(table) == 1632
+        for (n, m, k), value in table.items():
+            assert coeff_by_matrix_sum(n, m, k) == value, (n, m, k)
+
+    @pytest.mark.large
+    def test_matrix_matches_generating_far_out(self):
+        for cell in [(30, 30, 30), (40, 20, 19)]:
+            assert coeff_by_matrix_sum(*cell) == coeff_by_generating(*cell)
 
     def test_positivity_and_top_identities(self):
         table = recursion_table(5)

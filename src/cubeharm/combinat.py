@@ -1,18 +1,9 @@
-"""Enumerators for compositions and Young diagrams, and the staircase
-weight summed over a column-sum fiber.
-
-The enumerators are deterministic lazy streams.  `fiber_weight` sums the
-weights of a fiber column by column (a transfer matrix over the partial
-row sums) and builds no matrix.
-"""
-
-from math import factorial
-from operator import add
+"""Enumerators for compositions and Young diagrams, as deterministic lazy
+streams."""
 
 __all__ = [
     "compositions",
     "young_diagrams",
-    "fiber_weight",
 ]
 
 
@@ -65,46 +56,3 @@ def young_diagrams(total, max_parts):
             acc.pop()
 
     return rec(total, total)
-
-
-def fiber_weight(n, k, colsums):
-    """Sum of the staircase weights of the (k+1) x n staircase matrices
-    with the given column sums, by a dynamic program over the columns.
-
-    A matrix with row sums R_i and entries e weighs prod R_i! / prod e!,
-    which is prod R_i! * prod_j multinomial(c_j; column j) / prod c_j!.
-    The state is the vector of partial row sums and its value the integer
-    sum of the column multinomials so far; column j splits c_j over its
-    first min(j+1, k+1) rows.  At the end each state is multiplied by
-    prod R_i!, and the total divides exactly by prod c_j!.  This sums the
-    terms of the matrix-by-matrix enumeration, never the staircase closed
-    form (`tests/oracles.py` keeps that as `matrix_weight`).
-    """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    if len(colsums) != n:
-        raise ValueError("colsums length must equal n")
-    nrows = k + 1
-    states = {(0,) * nrows: 1}
-    for j, c in enumerate(colsums):
-        free = min(j + 1, nrows)
-        steps = []
-        for split in compositions(c, free):
-            multinomial = factorial(c)
-            for e in split:
-                multinomial //= factorial(e)
-            steps.append((split + (0,) * (nrows - free), multinomial))
-        grown = {}
-        for state, value in states.items():
-            for split, multinomial in steps:
-                key = tuple(map(add, state, split))
-                grown[key] = grown.get(key, 0) + value * multinomial
-        states = grown
-    total = 0
-    for state, value in states.items():
-        for r in state:
-            value *= factorial(r)
-        total += value
-    for c in colsums:
-        total //= factorial(c)
-    return total

@@ -6,13 +6,14 @@ members.  So before it does any work, each command estimates what it is
 about to compute, by closed-form arithmetic (its entry in COMMANDS), and
 `check` refuses an estimate over its limit in LIMITS unless large work
 is allowed (`--allow-large` on the command line, with which no
-estimate is computed at all).  A limit admits a command that ends
-within seconds on a 2-core machine, the slowest in about 5 s, and past
-it the work grows fast.  The library checks nothing in advance, except
-the derivative module through `allow_large`.
+estimate is computed at all).  An estimate counts the steps of the code
+that does the work, weighted by the size of their integers, and a limit
+admits a command that ends within seconds on a 2-core machine, the
+slowest in about 5 s; past it the work grows fast.  The library checks
+nothing in advance, except the derivative module through `allow_large`.
 """
 
-from math import comb, exp, factorial, isqrt, lgamma, log, pi, sqrt
+from math import comb, exp, factorial, isqrt, lgamma, log, log2, pi, sqrt
 
 __all__ = [
     "TooLarge",
@@ -33,7 +34,7 @@ LIMITS = {
     "oracle": (5, "symbolic oracle variable count"),
     "dimension": (3, "derivative-module variable count"),
     "factorial": (100_000, "factorial size n + 2m"),
-    "fiber DP": (3_000_000, "fiber DP step estimate"),
+    "point DP": (3_000_000, "point DP step estimate"),
     "partition DP": (3_000_000, "partition DP step estimate"),
     "Young diagrams": (1_000_000, "Young diagram part estimate p(m) m"),
     "lift": (100_000_000, "lift product estimate"),
@@ -92,34 +93,13 @@ def _partitions(m):
     return min(int(exp(pi * sqrt(2 * m / 3)) / (4 * sqrt(3) * m)) + 1, HUGE)
 
 
-def _column_steps(total, rows, free, before, after):
-    """State-by-split steps at one column of a staircase column DP.
-
-    The state before the column is its vector of row sums over `rows`
-    rows, and the column splits its sum over `free` rows.  The count runs
-    over every such pair together with a composition of the row-sum total
-    into `before` parts and one of what the column leaves into `after`
-    parts, all adding up to `total`.  By Vandermonde's identity and
-    C(P+a, a) C(P+b, b) = sum_i C(a, i) C(b, i) C(P-i+a+b, a+b) it is
-    sum_i C(before-1, i) C(rows-1, i) C(total-i+d, d) with d = before +
-    rows + free + after - 2, or C(total+d, d) with d = free + after - 1
-    when there are no rows yet (and no row-sum total to split)."""
-    if rows == 0:
-        return _comb(total + free + after - 1, free + after - 1)
-    d = before + rows + free + after - 2
-    terms = min(before - 1, rows - 1, max(total, -1)) + 1
-    return sum(
-        _comb(before - 1, i) * _comb(rows - 1, i) * _comb(total - i + d, d) for i in range(terms)
-    )
-
-
 def _point_dp(n, m, k):
-    """Work of `coefficients.coeff_by_matrix_sum`, in fiber-DP steps: at
+    """Work of `coefficients.coeff_by_matrix_sum`, in point-DP steps: at
     each of K = min(k+1, n) positions, L = n-K..n-1 in, C(min(L, m)+2, 2)
     states make up to three updates of 2m+1 entries, plus six of fixed
     cost.  Entries of about m log2(2n) + 2m log2(m) bits cost 1 + bits/1000
     each, and the weights' m+1 factorials of about n cost n**1.5 log2(n)
-    / 200 entries each.  14 entries take about one fiber-DP step, and the
+    / 200 entries each.  14 entries take about one step, and the
     slowest cells admitted run about 5 s on a 2-core machine."""
     if not 1 <= m <= n or not 0 <= k <= n:
         return 0  # the route refuses the cell itself
@@ -133,43 +113,6 @@ def _point_dp(n, m, k):
     entries = updates * (2 * m + 7) * (1000 + bits) // 1000
     factorials = (m + 1) * n * isqrt(n) * n.bit_length() // 200
     return (entries + factorials) // 14
-
-
-def _fiber_dp(n, total, k, step):
-    """Work of `combinat.fiber_weight` over the C(total/step + n-1, n-1)
-    fibers of column sums step * nu, nu a composition of total / step.
-
-    Column j of a fiber sees the row sums over r = min(j-1, K) rows, K =
-    min(k+1, n), and splits its sum over min(j, K) rows.  Over every fiber
-    of column total `total` these steps are `_column_steps` with j-1
-    parts before the column and n-j after, of which a staircase reaches
-    about (j - r) / (j - 1), since each row fills only from its own column
-    on; the fibers of step 2 are their share of those of step 1.  This is
-    0.46 to 1 times the steps counted on every fiber family with 2 <= n
-    <= 7 and at least 20,000 steps.  Their integers grow to about total
-    log(total) bits, so a step counts 1 + total // 25 times.  Each fiber
-    also closes with a factorial per row and a division per column, a
-    product of about (total // 25)**2, and costs 3n whatever its column
-    sums, three times its steps at k = 0 (one split per column).  Timed
-    on a 2-core machine at the largest m the limit admits, the slowest
-    of 15 invariants with n <= 10 ran 5 s."""
-    if total < 0 or n < 1:
-        return 0
-    rows = min(k + 1, n)
-    fibers = _comb(total // step + n - 1, n - 1)
-    if fibers >= HUGE:
-        return HUGE
-    steps = sum(
-        _column_steps(total, min(j - 1, rows), min(j, rows), j - 1, n - j)
-        * (j - min(j - 1, rows))
-        // max(j - 1, 1)
-        for j in range(1, n + 1)
-    )
-    if steps >= HUGE:
-        return HUGE
-    steps = steps * fibers // comb(total + n - 1, n - 1)
-    size = total // 25
-    return steps * (1 + size) + fibers * (size * size + 3 * n)
 
 
 def _partition_dp(n, m):
@@ -193,7 +136,7 @@ def _recursion_cells(n, m):
 
 # route: (n, m, k) -> the (kind, estimate) pairs of one coefficient
 ROUTE_COSTS = {
-    "matrix": lambda n, m, k: [("fiber DP", _point_dp(n, m, k))],
+    "matrix": lambda n, m, k: [("point DP", _point_dp(n, m, k))],
     "partition": lambda n, m, k: [("partition DP", _partition_dp(n, m))],
     # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
     "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", _lift(n, m))],
@@ -218,23 +161,34 @@ def _gen(args):
     return [("generating family", m**3), *lift]
 
 
+def _flag_moment(n, m, k, step):
+    """Work of `invariants._fiber_sums` in exponent entries: K(K+1)/2 for
+    each of the C(m-1+K, K) entries of the expansion below degree m, K =
+    min(k+1, n), four per row and degree, and n + 60 per term read off,
+    built, sorted and printed, times (1 + bits/3000)**2 for its integer of
+    about m log2(n) bits (a float only here).  Fitted to the CLI's wall
+    time on 126 invariants with n <= 10 on a 2-core machine, an entry
+    takes about 0.3 microseconds; the slowest admitted ran about 4 s."""
+    if n < 1 or not 0 <= k <= n or m < 0 or m % step:
+        return 0  # refused by the library, or an odd degree of g or tau: zero at once
+    rows = min(k + 1, n)
+    updates = _comb(m - 1 + rows, rows) * rows * (rows + 1) // 2 + 4 * rows * m
+    terms = _comb(m // step + n - 1, n - 1)
+    if max(updates, terms) >= HUGE:
+        return HUGE
+    bits = int(m * log2(n))
+    return updates + (n + 60) * terms * (3000 + bits) ** 2 // 3000**2
+
+
 def _invariant(args):
-    """Exponent entries the invariant polynomial writes, and for h, g and
-    tau the fiber DP that gives their coefficients: one fiber per term,
-    over the column total m (h) or 2 (m/2) (g and tau).  The entries come
-    first and the fiber DP is estimated only once they pass, since its
-    estimate takes a step per column."""
+    """Exponent entries the invariant polynomial writes."""
     what, n, m, k = args.what, args.n, args.m, args.k
     if what == "delta":
         # C(n, 2) products, each at most doubling the terms up to n!
-        yield "exponent entries", _factorial(n) * n**3
-    elif what == "e":
-        yield "exponent entries", _comb(n, m) * n
-    else:
-        step = 1 if what == "h" else 2
-        total = m if m % step == 0 else -step  # an odd degree is zero at once
-        yield "exponent entries", _comb(total // step + n - 1, n - 1) * n
-        yield "fiber DP", _fiber_dp(n, total, k, step)
+        return [("exponent entries", _factorial(n) * n**3)]
+    if what == "e":
+        return [("exponent entries", _comb(n, m) * n)]
+    return [("exponent entries", _flag_moment(n, m, k, 1 if what == "h" else 2))]
 
 
 def averaging(exponents):

@@ -1,12 +1,15 @@
-"""The cube-skeleton invariant polynomials, all from one staircase fiber sum.
+"""The cube-skeleton invariant polynomials, all from one expansion of the
+flag moment.
 
 The flag moment h (`flag_moment`) is the complete homogeneous polynomial
-of degree m in the first k + 1 flag sums T_i = x_i + ... + x_n.  By the
-multinomial theorem each product prod T_i**R_i contributes
-prod R_i! / prod e! for every staircase matrix with row sums R and
-column sums a, so the coefficient of x**a in h is the staircase weight
-summed over the fiber of a, `combinat.fiber_weight(n, k, a)`.  The even
-part g (`flag_moment_even`) keeps the fibers whose column sums are all
+of degree m in the first K = min(k+1, n) flag sums T_i = x_i + ... + x_n.
+The later variables enter every T_i only through S = x_K + ... + x_n, so
+h is expanded once, in integers, in x_1, ..., x_{K-1} and S by the
+recursion h_j(T_1..T_i) = h_j(T_1..T_{i-1}) + T_i h_{j-1}(T_1..T_i)
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2).  The
+coefficient of x**a is that of x_1**a_1 ... x_{K-1}**a_{K-1} S**r times
+the multinomial r! / prod_{j>=K} a_j!, r = a_K + ... + a_n.  The even
+part g (`flag_moment_even`) keeps the exponent vectors with all entries
 even.  The skeleton invariant tau (`skeleton_invariant`) is the average
 of h over the hyperoctahedral group: the sign flips give g, and the
 permutations of the variables give each exponent vector the mean of g
@@ -18,9 +21,11 @@ reproduce.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
+from operator import mul
 
-from .combinat import compositions, fiber_weight, young_diagrams
+from .combinat import compositions, young_diagrams
 from .linalg import solve_or_rank
 from .multipoly import MultiPoly
 
@@ -50,10 +55,27 @@ def _check_budget(npolys_terms):
         )
 
 
+def _flag_expansion(powers, m):
+    """h_m(T_1, ..., T_K), K = len(powers), in x_1, ..., x_{K-1}, S, one
+    degree at a time, with integer coefficients keyed by sum_u e_u
+    powers[u]: T_i = x_i + ... + x_{K-1} + S adds powers[u] for each u >= i."""
+    layer = [{0: 1}] * len(powers)
+    for _ in range(m):
+        below = {}
+        for i in range(len(powers)):
+            row = dict(below)
+            shifts = powers[i:]
+            for key, c in layer[i].items():
+                for s in shifts:
+                    row[key + s] = row.get(key + s, 0) + c
+            layer[i] = below = row
+    return layer[-1]
+
+
 def _fiber_sums(n, k, m, step):
     """Map each exponent vector of degree m whose entries are multiples of
-    `step` to its staircase fiber sum: the coefficients of h (step 1) or
-    g (step 2).  No vector qualifies when `step` does not divide m."""
+    `step` to its coefficient in h (step 1) or g (step 2), read off
+    `_flag_expansion`.  No vector qualifies when `step` does not divide m."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= k <= n:
@@ -62,8 +84,24 @@ def _fiber_sums(n, k, m, step):
         raise ValueError("need m >= 0")
     if m % step:
         return {}
-    vectors = (tuple(step * v for v in nu) for nu in compositions(m // step, n))
-    return {a: fiber_weight(n, k, a) for a in vectors}
+    rows = min(k + 1, n)
+    powers = [(m + 1) ** u for u in range(rows)]  # no exponent exceeds m
+    flag = _flag_expansion(powers, m)
+
+    @lru_cache(maxsize=n)  # in composition order a tail's rows are reused in runs
+    def pascal(r):  # row r of Pascal's triangle, each entry from the last
+        return list(accumulate(range(r), lambda c, i: c * (r - i) // (i + 1), initial=1))
+
+    weights = {}
+    for nu in compositions(m // step, n):
+        a = tuple(step * v for v in nu)
+        r = sum(a[rows - 1 :])
+        w = flag[sum(map(mul, a[: rows - 1] + (r,), powers))]
+        for v in a[rows - 1 : -1]:  # r! / prod_{j>=K} a_j!, a binomial at a time
+            w *= pascal(r)[v]
+            r -= v
+        weights[a] = w
+    return weights
 
 
 def flag_moment(n, k, m):

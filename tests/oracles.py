@@ -7,9 +7,10 @@ the orbit-by-orbit permutation average that define the hyperoctahedral
 averages, the rebuilding of an invariant from its elementary-basis
 expansion, the recursion sweep and the generating-polynomial recursion
 in `Fraction` arithmetic, the Bernstein form by binomial expansion, the
-staircase closed form, the checked sign weight of an ordered partition
-and the matrix route's signed sum fiber by fiber, and elimination on
-dense rows.
+staircase closed form, the staircase weight of one fiber by a column
+dynamic program (the reference for the flag moment's coefficients), the
+checked sign weight of an ordered partition and the matrix route's
+signed sum fiber by fiber, and elimination on dense rows.
 """
 
 from collections import Counter
@@ -17,10 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import add
 
 from cubeharm.bernoulli import scaled_bernoulli
 from cubeharm.coefficients import _degree_two_count, _sign_weight, closed_form
-from cubeharm.combinat import compositions, fiber_weight
+from cubeharm.combinat import compositions
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly, grlex_key
 from cubeharm.unipoly import UniPoly, binomial_poly
@@ -232,11 +234,55 @@ def binomial_bernstein_transform(m):
     return UniPoly(coeffs)
 
 
+def fiber_weight(n, k, colsums):
+    """Sum of the staircase weights of the (k+1) x n staircase matrices
+    with the given column sums, by a dynamic program over the columns:
+    the coefficient of x**colsums in the flag moment h.
+
+    A matrix with row sums R_i and entries e weighs prod R_i! / prod e!,
+    which is prod R_i! * prod_j multinomial(c_j; column j) / prod c_j!.
+    The state is the vector of partial row sums and its value the integer
+    sum of the column multinomials so far; column j splits c_j over its
+    first min(j+1, k+1) rows.  At the end each state is multiplied by
+    prod R_i!, and the total divides exactly by prod c_j!.  This sums the
+    terms of the matrix-by-matrix enumeration, never the staircase closed
+    form (`matrix_weight`).
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    if len(colsums) != n:
+        raise ValueError("colsums length must equal n")
+    nrows = k + 1
+    states = {(0,) * nrows: 1}
+    for j, c in enumerate(colsums):
+        free = min(j + 1, nrows)
+        steps = []
+        for split in compositions(c, free):
+            multinomial = factorial(c)
+            for e in split:
+                multinomial //= factorial(e)
+            steps.append((split + (0,) * (nrows - free), multinomial))
+        grown = {}
+        for state, value in states.items():
+            for split, multinomial in steps:
+                key = tuple(map(add, state, split))
+                grown[key] = grown.get(key, 0) + value * multinomial
+        states = grown
+    total = 0
+    for state, value in states.items():
+        for r in state:
+            value *= factorial(r)
+        total += value
+    for c in colsums:
+        total //= factorial(c)
+    return total
+
+
 def matrix_weight(n, k, nu):
     """Weighted count of staircase matrices with column sums nu.
 
     Closed form (sum(nu)+k)! / (prod_{j<=k}(nu_1+...+nu_j+j) * prod nu_j!),
-    the value of `combinat.fiber_weight` without the column-by-column sum.
+    the value of `fiber_weight` without the column-by-column sum.
     """
     if len(nu) != n:
         raise ValueError("column-sum vector length must equal n")
@@ -268,7 +314,7 @@ def matrix_sum_by_fibers(n, m, k):
 
     (-1)**(m-1)/n! times the sum, over the ordered partitions nu of m into
     n parts, of partition_sign_weight(n, m, nu) times
-    `combinat.fiber_weight` at the column sums 2 nu.
+    `fiber_weight` at the column sums 2 nu.
     """
     total = sum(
         partition_sign_weight(n, m, nu) * fiber_weight(n, k, tuple(2 * v for v in nu))

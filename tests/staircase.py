@@ -1,5 +1,6 @@
-"""Brute-force staircase enumerators, the test-side reference for the
-column dynamic program in `cubeharm.combinat.fiber_weight`.
+"""Brute-force staircase enumerators, the reference for the column
+dynamic program `oracles.fiber_weight`, which in turn is the reference
+for the coefficients of the flag moment.
 
 Every (k+1) x n staircase matrix of a fiber is built, so these are only
 usable for small n.

@@ -143,8 +143,13 @@ def test_partition_route_with_many_parts(capsys):
 
 
 # Invariants that end in about a second: tau at n = 10 averages only the
-# distinct arrangements of each orbit, and h is one fiber sum per term.
-ADMITTED = ["invariant --n 10 --m 4 --k 3", "invariant --n 6 --m 8 --k 3 --what h"]
+# distinct arrangements of each orbit, and h reads each term off one
+# expansion in K = k + 1 variables.
+ADMITTED = [
+    "invariant --n 10 --m 4 --k 3",
+    "invariant --n 6 --m 8 --k 3 --what h",
+    "invariant --n 8 --m 10 --k 4 --what h",
+]
 
 
 @pytest.mark.parametrize("argv", ADMITTED)
@@ -174,19 +179,21 @@ def test_results_past_the_int_string_limit(capsys, argv):
     assert re.search(r"\d{641}", out)
 
 
-# Each runs for about 10 s or more.  Of the invariants, the two at n = 2
-# have few fibers but integers of thousands of digits, and the three at
-# n = 4 and 5 many fibers that each cost more than their state steps.
-# The partition, Young and gen commands are within their step counts but
-# their integers grow with n.
+# Each runs for about 10 s or more, except the two invariants at n = 5,
+# which run about 4 s but whose estimate is twice the limit.  Of the
+# invariants, the two at n = 2 have few terms, but their expansion makes
+# tens of millions of updates on integers of about 1,500 digits; the one
+# at n = 7 has a large expansion in K = 7 variables, and the rest many
+# terms.  The partition, Young and gen commands are within their step
+# counts but their integers grow with n.
 TOO_LARGE = [
     "verify mvp --n 10 --k 2",
     "verify annihilation --n 6",
-    "invariant --n 7 --m 14 --k 7",
-    "invariant --n 9 --m 12 --k 3 --what h",
-    "invariant --n 2 --m 1600 --k 1 --what g",
-    "invariant --n 2 --m 800 --k 1 --what h",
-    "invariant --n 4 --m 38 --k 2 --what g",
+    "invariant --n 7 --m 24 --k 7",
+    "invariant --n 9 --m 16 --k 3 --what h",
+    "invariant --n 2 --m 5000 --k 1 --what g",
+    "invariant --n 2 --m 5400 --k 1 --what h",
+    "invariant --n 4 --m 280 --k 2 --what g",
     "invariant --n 5 --m 49 --k 0 --what h",
     "invariant --n 5 --m 96 --k 0 --what g",
     "gen --m 200",
@@ -226,11 +233,11 @@ def test_large_request_is_refused_at_once(argv):
 STARTS = {
     "verify mvp --n 10 --k 2": "cubeharm.invariants.fundamental_alternating",
     "verify annihilation --n 6": "cubeharm.harmonics.annihilates_alternating",
-    "invariant --n 7 --m 14 --k 7": "cubeharm.invariants.skeleton_invariant",
-    "invariant --n 9 --m 12 --k 3 --what h": "cubeharm.invariants.flag_moment",
-    "invariant --n 2 --m 1600 --k 1 --what g": "cubeharm.invariants.flag_moment_even",
-    "invariant --n 2 --m 800 --k 1 --what h": "cubeharm.invariants.flag_moment",
-    "invariant --n 4 --m 38 --k 2 --what g": "cubeharm.invariants.flag_moment_even",
+    "invariant --n 7 --m 24 --k 7": "cubeharm.invariants.skeleton_invariant",
+    "invariant --n 9 --m 16 --k 3 --what h": "cubeharm.invariants.flag_moment",
+    "invariant --n 2 --m 5000 --k 1 --what g": "cubeharm.invariants.flag_moment_even",
+    "invariant --n 2 --m 5400 --k 1 --what h": "cubeharm.invariants.flag_moment",
+    "invariant --n 4 --m 280 --k 2 --what g": "cubeharm.invariants.flag_moment_even",
     "invariant --n 5 --m 49 --k 0 --what h": "cubeharm.invariants.flag_moment",
     "invariant --n 5 --m 96 --k 0 --what g": "cubeharm.invariants.flag_moment_even",
     "gen --m 200": "cubeharm.generating.lifted_generating_poly",
@@ -265,7 +272,7 @@ def test_allow_large_estimates_nothing(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("estimate computed")
 
-    monkeypatch.setattr("cubeharm.cost._fiber_dp", refuse)
+    monkeypatch.setattr("cubeharm.cost._flag_moment", refuse)
     assert expected[0] == 0
     assert run(capsys, *argv, "--allow-large") == expected
 
@@ -278,8 +285,7 @@ CHECKED = [
     ("oracle", "coeff --n 2 --m 1 --k 1 --route oracle"),
     ("dimension", "verify dimension --n 2"),
     ("factorial", "coeff --n 3 --m 2 --k 3 --route extremal"),
-    ("fiber DP", "coeff --n 3 --m 2 --k 1 --route matrix"),
-    ("fiber DP", "invariant --n 3 --k 1 --m 4 --what g"),
+    ("point DP", "coeff --n 3 --m 2 --k 1 --route matrix"),
     ("partition DP", "coeff --n 3 --m 2 --k 1 --route partition"),
     ("Young diagrams", "coeff --n 3 --m 2 --k 1 --route young"),
     ("lift", "gen --m 2 --n 4 --what Ghat"),
@@ -290,6 +296,7 @@ CHECKED = [
     ("averaging", "verify mvp --n 2 --k 1"),
     ("averaging", "verify mvp --n 2 --k 1 --f {f}"),
     ("exponent entries", "invariant --n 3 --k 1 --m 2"),
+    ("exponent entries", "invariant --n 3 --k 1 --m 4 --what g"),
     ("exponent entries", "verify annihilation --n 2"),
 ]
 

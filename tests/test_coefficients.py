@@ -354,11 +354,27 @@ class TestRouteIndependence:
         ):
             self._forbid(monkeypatch, name)
         self._forbid(monkeypatch, "coefficient_from_family", "cubeharm.generating")
-        for name in ("fiber_weight", "compositions"):
-            self._forbid(monkeypatch, name, "cubeharm.combinat")
-            # a route that imported it by name would call it through coefficients
-            self._forbid(monkeypatch, name, raising=False)
+        self._forbid(monkeypatch, "compositions", "cubeharm.combinat")
+        # a route that imported it by name would call it through coefficients
+        self._forbid(monkeypatch, "compositions", raising=False)
+        for name in ("flag_moment", "flag_moment_even", "skeleton_invariant"):
+            self._forbid(monkeypatch, name, "cubeharm.invariants")
         assert coeff_by_matrix_sum(5, 3, 2) == expected
+
+    def test_oracle_reads_no_staircase_closed_form(self, monkeypatch):
+        """The oracle expands tau from the flag moment's own recursion: it
+        reads no staircase closed form and no other route's parts."""
+        expected = coeff_by_young_sum(4, 2, 1)
+        for name in (
+            "_column_den",
+            "_sign_weight",
+            "closed_form",
+            "coeff_by_partition_sum",
+            "recursion_table",
+        ):
+            self._forbid(monkeypatch, name)
+        self._forbid(monkeypatch, "coefficient_from_family", "cubeharm.generating")
+        assert coeff_by_expansion(4, 2, 1) == expected
 
     def test_generating_route_skips_series_log(self, monkeypatch):
         def refuse(*args):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeharm.combinat import compositions, fiber_weight, young_diagrams
-from oracles import matrix_weight
+from cubeharm.combinat import compositions, young_diagrams
+from oracles import fiber_weight, matrix_weight
 from staircase import (
     QuadMatrix,
     count_compositions,

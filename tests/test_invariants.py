@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -15,7 +15,13 @@ from cubeharm.invariants import (
     skeleton_invariant,
 )
 from cubeharm.multipoly import MultiPoly
-from oracles import complete_homogeneous, reconstruct, signed_permute, suffix_sums
+from oracles import (
+    complete_homogeneous,
+    fiber_weight,
+    reconstruct,
+    signed_permute,
+    suffix_sums,
+)
 from staircase import quad_matrices_with_colsums
 
 
@@ -94,6 +100,61 @@ class TestFlagMoment:
             for k in range(n + 1):
                 for m in range(5):
                     assert flag_moment(n, k, m) == flag_moment_by_matrix_sum(n, k, m)
+
+
+def column_dp_moment(n, k, m, step):
+    """h (step 1) or g (step 2) with every coefficient from `fiber_weight`."""
+    if m % step:
+        return MultiPoly(n)
+    vectors = (tuple(step * v for v in nu) for nu in compositions(m // step, n))
+    return MultiPoly(n, {a: fiber_weight(n, k, a) for a in vectors})
+
+
+def flag_value(k, m, x):
+    """h_m(T_1(x), ..., T_K(x)) at an integer point: the z**m coefficient
+    of prod 1/(1 - T_i(x) z), in plain integers."""
+    series = [1] + [0] * m
+    for i in range(min(k + 1, len(x))):
+        t = sum(x[i:])
+        for j in range(1, m + 1):
+            series[j] += t * series[j - 1]
+    return series[m]
+
+
+def value_at(poly, x):
+    return sum(c * prod(map(pow, x, exps)) for exps, c in poly.terms.items())
+
+
+class TestFlagExpansion:
+    """The K-variable expansion against the column DP over each fiber, and
+    at sizes out of that DP's reach against point values of h."""
+
+    @staticmethod
+    def _compare(n, max_degree):
+        for k in range(n + 1):
+            for m in range(max_degree + 1):
+                assert flag_moment(n, k, m) == column_dp_moment(n, k, m, 1)
+                assert flag_moment_even(n, k, m) == column_dp_moment(n, k, m, 2)
+
+    def test_matches_column_dp(self):
+        for n in range(1, 5):
+            self._compare(n, 8)
+
+    @pytest.mark.large
+    def test_matches_column_dp_at_five(self):
+        self._compare(5, 10)
+
+    def test_point_values_out_of_the_column_dp_reach(self):
+        h = flag_moment(8, 4, 10)
+        for x in [(1,) * 8, (2, -1, 0, 3, 1, -2, 1, 1), (3, 1, 4, 1, 5, 9, 2, 6)]:
+            assert value_at(h, x) == flag_value(4, 10, x)
+        h = flag_moment(3, 1, 60)  # multinomials of S**r up to r = 60
+        for x in [(1, 1, 1), (2, -1, 3), (-4, 5, 2)]:
+            assert value_at(h, x) == flag_value(1, 60, x)
+        g = flag_moment_even(2, 1, 400)
+        for x in [(1, 1), (2, -3), (5, 7)]:
+            flips = [(s * x[0], t * x[1]) for s in (1, -1) for t in (1, -1)]
+            assert 4 * value_at(g, x) == sum(flag_value(1, 400, y) for y in flips)
 
 
 class TestEvenFlagMoment:

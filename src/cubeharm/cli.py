@@ -176,10 +176,12 @@ def cmd_invariant(args):
         poly = invariants.flag_moment_even(n, args.k, args.m)
     else:
         poly = invariants.skeleton_invariant(n, args.k, args.m)
+    if args.fmt == "text":  # each format builds only the form it prints
+        return _render(args.fmt, None, None, None, [poly.pretty()]), 0
     terms = poly.to_obj()
     doc = {"what": what, "variables": n, "terms": terms}
-    rows = [[" ".join(map(str, e)), c] for e, c in terms]
-    return _render(args.fmt, doc, ["exponents", "coefficient"], rows, [poly.pretty()]), 0
+    rows = ([" ".join(map(str, e)), c] for e, c in terms)
+    return _render(args.fmt, doc, ["exponents", "coefficient"], rows, None), 0
 
 
 def cmd_verify_identities(args):

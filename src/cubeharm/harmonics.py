@@ -11,6 +11,7 @@ the skeleton invariants annihilate it as differential operators.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
 
 from . import cost
@@ -63,7 +64,7 @@ def skeleton_average(f, n, k):
                         lifted[j] += (b + 1) * lifted[j - 1]
                     nxt.append((xp + (a - b,), rp + b, lifted))
             partial = nxt
-        scale = coeff / scale
+        scale = Fraction(coeff, scale)
         for xp, rp, poly in partial:
             key = xp + (rp,)
             total[key] = total.get(key, 0) + scale * poly[n - k]

@@ -22,7 +22,7 @@ reproduce.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from operator import mul
 
 from .combinat import compositions, young_diagrams
@@ -147,21 +147,26 @@ def elementary_symmetric_squares(n, m):
         exps = [0] * n
         for i in chosen:
             exps[i] = 2
-        terms[tuple(exps)] = Fraction(1)
+        terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
 
 
 def fundamental_alternating(n):
-    """x_1 ... x_n times the product of (x_i**2 - x_j**2) over i < j."""
+    """x_1 ... x_n times the product of (x_i**2 - x_j**2) over i < j.
+
+    That is x_1 ... x_n times a Vandermonde determinant in the x_i**2,
+    expanded: the sum over the n! arrangements e of 1, 3, ..., 2n-1 of
+    (-1)**(inv e + n(n-1)/2) x**e, where inv e counts the pairs i < j
+    with e_i > e_j.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    poly = MultiPoly.monomial((1,) * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            xi2 = MultiPoly.monomial(tuple(2 if t == i else 0 for t in range(n)))
-            xj2 = MultiPoly.monomial(tuple(2 if t == j else 0 for t in range(n)))
-            poly = poly * (xi2 - xj2)
-    return poly
+    sign = (-1) ** (n * (n - 1) // 2)
+    terms = {
+        exps: sign * (-1) ** sum(a > b for a, b in combinations(exps, 2))
+        for exps in permutations(range(1, 2 * n, 2))
+    }
+    return MultiPoly(n, terms)
 
 
 @dataclass(frozen=True)
@@ -206,8 +211,8 @@ def expand_in_elementary_basis(n, m, k):
         _check_budget(sum(len(p.terms) for p in [target, *basis_polys]))
 
     support = dict.fromkeys(mono for p in [target, *basis_polys] for mono in p.terms)
-    matrix = [[p.terms.get(mono, Fraction(0)) for p in basis_polys] for mono in support]
-    rhs = [target.terms.get(mono, Fraction(0)) for mono in support]
+    matrix = [[p.terms.get(mono, 0) for p in basis_polys] for mono in support]
+    rhs = [target.terms.get(mono, 0) for mono in support]
     solution = solve_or_rank(matrix, rhs)
 
     leading = None

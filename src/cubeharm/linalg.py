@@ -1,16 +1,21 @@
-"""Exact elimination over the rationals, on one sparse kernel.
+"""Exact elimination over the rationals, on one sparse integer kernel.
 
 `RowBasis` is the one elimination kernel: an incremental echelon basis
 whose rows are sparse mappings {column: value}.  A column is any key
 that compares with the other columns, such as an int or an exponent
-tuple, so a polynomial's terms are a row as they stand.  Dense rows
-enter only through `solve_or_rank`, which fills a `RowBasis` with an
-augmented system and reads its unique solution.  Solving reports
-inconsistency and underdetermination through dedicated exceptions so
-callers can tell a bad system apart from an internal bug.
+tuple, so a polynomial's terms are a row as they stand.  The kernel is
+fraction-free, a relative of Bareiss (Math. Comp. 22, 1968): rows are
+scaled to primitive integer rows, which changes no span over the
+rationals, so ranks are exact with no prime modulus.  Dense rows enter
+only through `solve_or_rank`, which fills a `RowBasis` with an augmented
+system and reads its unique solution, one `Fraction` per unknown.
+Solving reports inconsistency and underdetermination through dedicated
+exceptions so callers can tell a bad system apart from an internal bug.
 """
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "LinearSystemError",
@@ -34,7 +39,8 @@ class UnderdeterminedSystemError(LinearSystemError):
 
 
 def solve_or_rank(matrix, rhs):
-    """Return the unique solution of matrix * x = rhs for dense rows.
+    """Return the unique solution of matrix * x = rhs for dense rows, as
+    `Fraction`s.
 
     Raises InconsistentSystemError when no solution exists and
     UnderdeterminedSystemError when the solution is not unique.
@@ -59,35 +65,64 @@ def solve_or_rank(matrix, rhs):
     solution = [Fraction(0)] * ncols
     for col in reversed(range(ncols)):
         pivot = pivots[col]
-        solution[col] = pivot.get(ncols, Fraction(0)) - sum(
-            c * solution[j] for j, c in pivot.items() if col < j < ncols
-        )
+        known = sum(c * solution[j] for j, c in pivot.items() if col < j < ncols)
+        solution[col] = Fraction(pivot.get(ncols, 0) - known, pivot[col])
     return solution
+
+
+def _integer_row(row):
+    """`row` scaled by the lcm of its denominators, its zero entries dropped."""
+    den = lcm(*[c.denominator for c in row.values()])
+    return {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
 
 
 class RowBasis:
     """Incrementally maintained row-echelon basis of sparse rational rows.
 
-    A row is a mapping {column: value}; zero values are dropped and ints
-    become Fractions.  Each pivot row is kept with its leading entry,
-    the least column, equal to 1.
+    A row is a mapping {column: value} with int or `Fraction` values,
+    zeros allowed.  Each pivot row is kept as a primitive integer row
+    whose leading entry, at its least column, is positive.
     """
 
     def __init__(self):
-        self._pivots = {}  # leading column -> normalized reduced sparse row
+        self._pivots = {}  # leading column -> primitive reduced integer row
 
     def _reduce(self, row):
-        """Sparse remainder of `row` after elimination against the pivots."""
-        work = {j: c if isinstance(c, Fraction) else Fraction(c) for j, c in row.items() if c}
-        for col in sorted(self._pivots):
-            factor = work.get(col)
-            if factor:
-                for j, b in self._pivots[col].items():
-                    value = work.get(j, 0) - factor * b
-                    if value:
-                        work[j] = value
-                    else:
-                        del work[j]
+        """Integer remainder of `row` after elimination against the pivots,
+        least column first: the pivot p with lead b meets the work row's
+        entry a there as work <- (b/g) work - (a/g) p, g = gcd(a, b), and
+        a scaled work row is divided by its content, so entries stay the
+        size of the rows'.  Only the pivot columns the work row reaches
+        are visited, from a sorted list that grows as they appear."""
+        pivots = self._pivots
+        work = _integer_row(row)
+        todo = sorted(j for j in work if j in pivots)
+        for i, col in enumerate(todo):  # columns join after i as the pivots reach them
+            a = work.get(col)
+            if not a:  # cancelled, or listed twice
+                continue
+            pivot = pivots[col]
+            b = pivot[col]
+            g = gcd(a, b)
+            scale = b // g
+            if scale != 1:
+                work = {j: scale * c for j, c in work.items()}
+            a //= g
+            for j, c in pivot.items():
+                c *= a
+                old = work.get(j)
+                if old is None:
+                    work[j] = -c
+                    if j in pivots:
+                        insort(todo, j, i + 1)
+                elif old != c:
+                    work[j] = old - c
+                else:
+                    del work[j]
+            if scale != 1 and work:
+                content = gcd(*work.values())
+                if content != 1:
+                    work = {j: c // content for j, c in work.items()}
         return work
 
     def add(self, row):
@@ -96,8 +131,12 @@ class RowBasis:
         if not reduced:
             return False
         lead = min(reduced)
-        inv = 1 / reduced[lead]
-        self._pivots[lead] = {j: c * inv for j, c in reduced.items()}
+        content = gcd(*reduced.values())
+        if reduced[lead] < 0:
+            content = -content
+        if content != 1:
+            reduced = {j: c // content for j, c in reduced.items()}
+        self._pivots[lead] = reduced
         return True
 
     def contains(self, row):

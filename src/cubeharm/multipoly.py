@@ -2,7 +2,11 @@
 
 Terms live in a dict keyed by exponent tuples.  Nothing is stored for a
 zero coefficient, and serialization sorts terms in graded lexicographic
-order so repeated runs emit identical bytes.
+order so repeated runs emit identical bytes.  A coefficient is an int or
+a `Fraction` and is kept as given, so a polynomial with int coefficients
+stays in integers through sums, products and derivatives; a float is
+refused.  Python compares and hashes 3 and Fraction(3) alike, and so do
+the polynomials that hold them.
 """
 
 from fractions import Fraction
@@ -33,9 +37,10 @@ class MultiPoly:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent vector length mismatch")
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    clean[tuple(exps)] = c
+                if type(coeff) not in (int, Fraction):
+                    raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
+                if coeff:
+                    clean[tuple(exps)] = coeff
         self.terms = clean
 
     @classmethod
@@ -73,7 +78,7 @@ class MultiPoly:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+            out[exps] = out.get(exps, 0) + c
         return MultiPoly(self.nvars, out)
 
     def __neg__(self):
@@ -90,7 +95,7 @@ class MultiPoly:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
+                    out[key] = out.get(key, 0) + c1 * c2
             return MultiPoly(self.nvars, out)
         if isinstance(other, (int, Fraction)):
             return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})

@@ -10,7 +10,9 @@ in `Fraction` arithmetic, the Bernstein form by binomial expansion, the
 staircase closed form, the staircase weight of one fiber by a column
 dynamic program (the reference for the flag moment's coefficients), the
 checked sign weight of an ordered partition and the matrix route's
-signed sum fiber by fiber, and elimination on dense rows.
+signed sum fiber by fiber, the alternating polynomial as a product of
+its n(n-1)/2 factors, elimination on dense rows, and the sparse
+echelon basis in `Fraction` arithmetic.
 """
 
 from collections import Counter
@@ -152,6 +154,18 @@ def signed_permute(poly, signs=None, perm=None):
         key = tuple(new)
         out[key] = out.get(key, Fraction(0)) + sign * c
     return MultiPoly(poly.nvars, out)
+
+
+def alternating_by_products(n):
+    """x_1 ... x_n times the product of (x_i**2 - x_j**2) over i < j,
+    multiplied out factor by factor."""
+    poly = MultiPoly.monomial((1,) * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            xi2 = MultiPoly.monomial(tuple(2 if t == i else 0 for t in range(n)))
+            xj2 = MultiPoly.monomial(tuple(2 if t == j else 0 for t in range(n)))
+            poly = poly * (xi2 - xj2)
+    return poly
 
 
 def _elementary_product(n, parts):
@@ -338,7 +352,7 @@ def dense_independent_subset(polys):
     for p in polys:
         row = [Fraction(0)] * len(support)
         for mono, c in p.terms.items():
-            row[index[mono]] = c
+            row[index[mono]] = Fraction(c)
         for col in sorted(pivots):
             factor = row[col]
             if factor:
@@ -348,3 +362,40 @@ def dense_independent_subset(polys):
             pivots[lead] = [c / row[lead] for c in row]
             chosen.append(p)
     return chosen
+
+
+class FractionRowBasis:
+    """Incremental echelon basis of sparse rows {column: value} in
+    `Fraction` arithmetic, each pivot row scaled to leading entry 1 at
+    its least column, reduced against the pivots in ascending order."""
+
+    def __init__(self):
+        self.pivots = {}  # leading column -> normalized reduced sparse row
+
+    def reduce(self, row):
+        work = {j: Fraction(c) for j, c in row.items() if c}
+        for col in sorted(self.pivots):
+            factor = work.get(col)
+            if factor:
+                for j, b in self.pivots[col].items():
+                    value = work.get(j, 0) - factor * b
+                    if value:
+                        work[j] = value
+                    else:
+                        del work[j]
+        return work
+
+    def add(self, row):
+        reduced = self.reduce(row)
+        if not reduced:
+            return False
+        lead = min(reduced)
+        self.pivots[lead] = {j: c / reduced[lead] for j, c in reduced.items()}
+        return True
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+    @property
+    def rank(self):
+        return len(self.pivots)

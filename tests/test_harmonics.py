@@ -232,6 +232,12 @@ class TestFourDimensionalOptIn:
 
 
 @pytest.mark.large
+class TestFiveDimensionalOptIn:
+    def test_dimension(self):
+        assert harmonic_module_dimension(5, allow_large=True) == 3840
+
+
+@pytest.mark.large
 class TestSixDimensionalOptIn:
     @pytest.mark.parametrize("k", [2, 6])
     def test_alternating_mean_value(self, k):

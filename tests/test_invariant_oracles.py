@@ -1,11 +1,22 @@
 """The fiber-sum construction of h, g and tau against the symbolic
 references in `oracles`: the expansion of h as a complete homogeneous
 polynomial of the suffix sums, and the average over every permutation
-of the variables."""
+of the variables.  The alternating polynomial's signed monomials against
+its product of factors."""
 
-from cubeharm.invariants import flag_moment, flag_moment_even, skeleton_invariant
+from cubeharm.invariants import (
+    flag_moment,
+    flag_moment_even,
+    fundamental_alternating,
+    skeleton_invariant,
+)
 from cubeharm.multipoly import MultiPoly
-from oracles import complete_homogeneous, suffix_sums, symmetrize_over_permutations
+from oracles import (
+    alternating_by_products,
+    complete_homogeneous,
+    suffix_sums,
+    symmetrize_over_permutations,
+)
 
 
 def flag_moment_by_expansion(n, k, m):
@@ -28,3 +39,8 @@ def test_skeleton_invariant_matches_permutation_average():
     for n, k, degree in cells + [(10, 3, 4)]:
         expected = symmetrize_over_permutations(flag_moment_even(n, k, degree))
         assert skeleton_invariant(n, k, degree) == expected, (n, k, degree)
+
+
+def test_alternating_monomials_match_the_product_of_factors():
+    for n in range(1, 7):
+        assert fundamental_alternating(n) == alternating_by_products(n), n

@@ -10,6 +10,7 @@ from cubeharm.linalg import (
     UnderdeterminedSystemError,
     solve_or_rank,
 )
+from oracles import FractionRowBasis
 
 
 def test_identity_solve():
@@ -109,3 +110,70 @@ def test_zero_rows_are_in_every_span():
     assert basis.contains({(1, 0): 0, (0, 1): Fraction(0)})
     assert not basis.add({(1, 0): 0})
     assert basis.rank == 0
+
+
+ENTRIES = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+SPARSE_ROWS = st.dictionaries(st.integers(0, 6), ENTRIES, max_size=5)
+
+
+@st.composite
+def row_sequences(draw):
+    """Sparse rows with mixed int and `Fraction` entries, zeros among
+    them, where a later row may be a rational multiple of an earlier one
+    or a rational combination of two."""
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kinds = ["fresh", "multiple", "combination"] if rows else ["fresh"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            rows.append(draw(SPARSE_ROWS))
+            continue
+        first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(NONZERO), draw(NONZERO) if kind == "combination" else 0
+        columns = first.keys() | second.keys()
+        rows.append({j: a * first.get(j, 0) + b * second.get(j, 0) for j in columns})
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sequences(), st.lists(SPARSE_ROWS, max_size=4))
+def test_integer_rows_agree_with_fraction_elimination(rows, probes):
+    basis, reference = RowBasis(), FractionRowBasis()
+    for row in rows:
+        assert basis.add(row) == reference.add(row)
+        assert basis.rank == reference.rank
+    for row in rows + probes:
+        assert basis.contains(row) == reference.contains(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(ENTRIES, min_size=width, max_size=width), min_size=1, max_size=5
+        )
+    )
+)
+def test_rational_solutions_satisfy_the_system(augmented):
+    matrix = [row[:-1] for row in augmented]
+    rhs = [row[-1] for row in augmented]
+    coefficients, system = FractionRowBasis(), FractionRowBasis()
+    for row in augmented:
+        coefficients.add(dict(enumerate(row[:-1])))
+        system.add(dict(enumerate(row)))
+    try:
+        solution = solve_or_rank(matrix, rhs)
+    except InconsistentSystemError:
+        assert system.rank > coefficients.rank
+        return
+    except UnderdeterminedSystemError:
+        assert system.rank == coefficients.rank < len(matrix[0])
+        return
+    assert system.rank == coefficients.rank == len(matrix[0])
+    assert all(type(x) is Fraction for x in solution)
+    for row, b in zip(matrix, rhs):
+        assert sum(c * x for c, x in zip(row, solution)) == b

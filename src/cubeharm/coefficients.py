@@ -6,11 +6,11 @@ Routes implemented here:
 
   matrix      signed sum over the staircase matrices, as the flag moment
               summed over the points {-1, 0, 1}**n by one integer dynamic
-              program (n <= 6 in the sweep)
+              program, weighed by support size (n <= 6 in the sweep)
   partition   the same signed sum with each fiber by its closed form, as an
               integer dynamic program over the positions of nu
-  young       generating polynomial assembled over Young diagrams, summed
-              per diagram length and lifted once per length
+  young       generating polynomial assembled over Young diagrams at n = m,
+              joined per length by Horner's rule, and lifted once to n
   generating  generating polynomial from the Bernoulli recursion
   recursion   table filled in one integer sweep by the coefficient
               recursion, seeded by the m = 1 row's own count and the
@@ -79,6 +79,13 @@ def _sign_weight(n, m, ell):
     return m * (-1) ** (ell - 1) * factorial(ell - 1) * factorial(n - ell)
 
 
+def _support_weight(n, m, u):
+    """The matrix route's weight d(u) = sum_{s=u}^m (-1)**(s-u) C(n-u, s-u)
+    w(s) of a point with u nonzero entries, w = `_sign_weight`, in closed
+    form: term s is w(u) C(s-1, u-1), which sum to C(m, u) w(u) by upper summation."""
+    return comb(m, u) * _sign_weight(n, m, u)
+
+
 def _column_den(j, k, c, partial):
     """Column j's denominator in the staircase closed form.
 
@@ -115,11 +122,10 @@ def coeff_by_matrix_sum(n, m, k):
     even a, w = `_sign_weight` at the number l(a) of nonzero a_j.  Means
     over sign vectors and Moebius inversion over supports make it the sum
     of d(u) h(x) / 2**u over the points x with 1 <= u <= m nonzero
-    entries, d(u) = sum_{s=u}^m (-1)**(s-u) C(n-u, s-u) w(s).  States
-    (T_i, u) enter position K from C(n-K, u) C(u, p) points at T =
-    2p - u; each position i <= K branches x_i into 0, 1, -1 and multiplies
-    each state's integer z-series by 1 / (1 - T_i z) up to z**2m, whose
-    last entry sums h(x).
+    entries, d = `_support_weight`.  States (T_i, u) enter position K
+    from C(n-K, u) C(u, p) points at T = 2p - u; each position i <= K
+    branches x_i into 0, 1, -1 and multiplies each state's integer
+    z-series by 1 / (1 - T_i z) up to z**2m, whose last entry sums h(x).
     """
     _validate(n, m, k)
     rest = n - min(k + 1, n)
@@ -138,15 +144,10 @@ def coeff_by_matrix_sum(n, m, k):
         for (t, u), series in grown.items():
             acc = 0
             states[t, u] = [acc := c + t * acc for c in series]
-    sign = {s: _sign_weight(n, m, s) for s in range(1, m + 1)}
-    weight = {
-        u: sum((-1) ** (s - u) * comb(n - u, s - u) * sign[s] for s in range(u, m + 1))
-        for u in sign
-    }
     by_support = [0] * (m + 1)
     for (_, u), series in states.items():
         by_support[u] += series[-1]
-    total = sum(weight[u] * 2 ** (m - u) * by_support[u] for u in weight)
+    total = sum(_support_weight(n, m, u) * 2 ** (m - u) * by_support[u] for u in range(1, m + 1))
     return Fraction((-1) ** (m - 1) * total, factorial(n) * 2**m)
 
 
@@ -187,14 +188,15 @@ def coeff_by_partition_sum(n, m, k):
 
 
 @lru_cache(maxsize=None)
-def _young_by_length(m):
-    """The Young diagrams of weight m summed per length l, unlifted.
+def _young_base_poly(m):
+    """G_m, the generating polynomial assembled from Young diagrams at n = m.
 
-    Each diagram of length l with part multiplicities r_1..r_m contributes
+    A diagram of length l with part multiplicities r_1..r_m contributes
     (-1)**(l-1) (l-1)! young_weight(l, lambda) times the product over
-    parts j of ((2j+1) t + 1)**r_j.  None of it depends on n.
+    parts j of ((2j+1) t + 1)**r_j and (t+1)**(m - l).  The per-length
+    sums are joined by Horner's rule in t + 1 and scaled by (-1)**(m-1) m.
     """
-    by_length = {}
+    by_length = [UniPoly()] * (m + 1)
     for parts in young_diagrams(m, m):
         ell = len(parts)
         weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, parts)
@@ -202,24 +204,19 @@ def _young_by_length(m):
         for part in parts:
             # product *= (2 part + 1) t + 1, in integers
             product = [a + (2 * part + 1) * b for a, b in zip(product + [0], [0] + product)]
-        by_length[ell] = by_length.get(ell, UniPoly()) + weight * UniPoly(product)
-    return by_length
+        by_length[ell] += weight * UniPoly(product)
+    total = UniPoly()
+    for poly in by_length[1:]:
+        total = UniPoly((0,) + total.coeffs) + total + poly  # total (t + 1) + poly
+    return Fraction((-1) ** (m - 1) * m) * total
 
 
 @lru_cache(maxsize=None)
 def young_generating_poly(n, m):
-    """Generating polynomial assembled from Young diagrams of weight m.
-
-    The per-length sums of `_young_by_length` are each lifted by
-    (t+1)**(n - l), which is what makes the result a polynomial, and the
-    total is scaled by (-1)**(m-1) m.
-    """
+    """(t+1)**(n-m) times the Young G_m of `_young_base_poly`; defined for n >= m >= 1."""
     if not n >= m >= 1:
         raise ValueError("need n >= m >= 1")
-    total = UniPoly()
-    for ell, poly in _young_by_length(m).items():
-        total = total + poly * binomial_poly(n - ell)
-    return Fraction((-1) ** (m - 1) * m) * total
+    return binomial_poly(n - m) * _young_base_poly(m)
 
 
 def coeff_by_young_sum(n, m, k):

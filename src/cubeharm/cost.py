@@ -138,7 +138,7 @@ def _recursion_cells(n, m):
 ROUTE_COSTS = {
     "matrix": lambda n, m, k: [("point DP", _point_dp(n, m, k))],
     "partition": lambda n, m, k: [("partition DP", _partition_dp(n, m))],
-    # p(m) diagrams of up to m parts, then up to m lifts by (t+1)**(n-l)
+    # p(m) diagrams of up to m parts, then one lift by (t+1)**(n-m), which `_lift` prices as m
     "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", _lift(n, m))],
     "generating": lambda n, m, k: [("generating family", m**3), ("factorial", n + 2 * m)],
     "recursion": lambda n, m, k: [("recursion table", _recursion_cells(n, m))],

@@ -10,7 +10,9 @@ in `Fraction` arithmetic, the Bernstein form by binomial expansion, the
 staircase closed form, the staircase weight of one fiber by a column
 dynamic program (the reference for the flag moment's coefficients), the
 checked sign weight of an ordered partition and the matrix route's
-signed sum fiber by fiber, the alternating polynomial as a product of
+signed sum fiber by fiber, the point DP's support weight as its Moebius
+sum, the Young generating polynomial with each length lifted on its
+own, the alternating polynomial as a product of
 its n(n-1)/2 factors, elimination on dense rows, and the sparse
 echelon basis in `Fraction` arithmetic.
 """
@@ -23,8 +25,8 @@ from math import comb, factorial
 from operator import add
 
 from cubeharm.bernoulli import scaled_bernoulli
-from cubeharm.coefficients import _degree_two_count, _sign_weight, closed_form
-from cubeharm.combinat import compositions
+from cubeharm.coefficients import _degree_two_count, _sign_weight, closed_form, young_weight
+from cubeharm.combinat import compositions, young_diagrams
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly, grlex_key
 from cubeharm.unipoly import UniPoly, binomial_poly
@@ -335,6 +337,40 @@ def matrix_sum_by_fibers(n, m, k):
         for nu in compositions(m, n)
     )
     return Fraction((-1) ** (m - 1) * total, factorial(n))
+
+
+def support_weight_by_moebius(n, m, u):
+    """The point DP's weight of the points with u nonzero entries, as the
+    Moebius sum d(u) = sum_{s=u}^m (-1)**(s-u) C(n-u, s-u) w(s) over the
+    support sizes s, w = `coefficients._sign_weight`."""
+    return sum(
+        (-1) ** (s - u) * comb(n - u, s - u) * _sign_weight(n, m, s) for s in range(u, m + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _young_sums_by_length(m):
+    """The Young diagrams of weight m summed per length l, unlifted: each
+    contributes (-1)**(l-1) (l-1)! young_weight(l, lambda) times the
+    product over its parts j of ((2j+1) t + 1)."""
+    by_length = {}
+    for parts in young_diagrams(m, m):
+        ell = len(parts)
+        product = [1]
+        for part in parts:
+            product = [a + (2 * part + 1) * b for a, b in zip(product + [0], [0] + product)]
+        weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, parts)
+        by_length[ell] = by_length.get(ell, UniPoly()) + weight * UniPoly(product)
+    return by_length
+
+
+def young_poly_by_lengths(n, m):
+    """The Young generating polynomial with each length's sum lifted by
+    its own (t+1)**(n-l), the total scaled by (-1)**(m-1) m."""
+    total = UniPoly()
+    for ell, poly in _young_sums_by_length(m).items():
+        total = total + poly * binomial_poly(n - ell)
+    return Fraction((-1) ** (m - 1) * m) * total
 
 
 def dense_independent_subset(polys):

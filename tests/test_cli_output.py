@@ -103,7 +103,6 @@ def test_verify_routes_names_the_routes_of_each_cell(capsys):
         assert ("oracle" in routes) == (n <= 3)
 
 
-@pytest.mark.large
 def test_verify_routes_runs_the_matrix_route_at_six(capsys):
     lines = _routes_by_line(capsys, 6)
     assert len(lines) == 112 and lines[-1][0] == 6
@@ -120,7 +119,6 @@ SWEEP_DIGESTS = {
 }
 
 
-@pytest.mark.large
 @pytest.mark.parametrize("argv", SWEEP_DIGESTS)
 def test_sweep_at_six_keeps_its_bytes(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -19,6 +19,7 @@ from cubeharm.coefficients import (
     coefficient_record,
     recursion_table,
     route_records,
+    young_generating_poly,
     young_weight,
 )
 from cubeharm.combinat import compositions
@@ -27,6 +28,8 @@ from oracles import (
     matrix_sum_by_fibers,
     matrix_weight,
     partition_sign_weight,
+    support_weight_by_moebius,
+    young_poly_by_lengths,
 )
 from staircase import quad_matrices_with_colsums
 
@@ -387,6 +390,22 @@ class TestRouteIndependence:
         assert generating.generating_poly(12)[5] > 0
 
 
+class TestSummedForms:
+    """The routes' closed forms against the term-by-term sums of `tests/oracles.py`."""
+
+    def test_support_weight_is_its_moebius_sum(self):
+        for n in range(1, 15):
+            for m in range(1, n + 1):
+                for u in range(1, m + 1):
+                    expected = support_weight_by_moebius(n, m, u)
+                    assert coefficients._support_weight(n, m, u) == expected, (n, m, u)
+
+    def test_young_poly_is_the_per_length_lift(self):
+        for n in range(1, 31):
+            for m in range(1, n + 1):
+                assert young_generating_poly(n, m) == young_poly_by_lengths(n, m), (n, m)
+
+
 class TestRouteAgreement:
     def test_all_routes_small_grid(self):
         for n in range(1, 4):
@@ -402,14 +421,12 @@ class TestRouteAgreement:
                 for k in range(n + 1):
                     assert coeff_by_generating(n, m, k) == coeff_by_recursion(n, m, k)
 
-    @pytest.mark.large
     def test_matrix_matches_partition_at_n6(self):
         n = 6
         for m in range(1, n + 1):
             for k in range(n + 1):
                 assert coeff_by_matrix_sum(n, m, k) == coeff_by_partition_sum(n, m, k)
 
-    @pytest.mark.large
     def test_matrix_matches_partition_at_n7(self):
         for m in range(1, 4):
             for k in range(8):
@@ -422,10 +439,13 @@ class TestRouteAgreement:
         for (n, m, k), value in table.items():
             assert coeff_by_matrix_sum(n, m, k) == value, (n, m, k)
 
-    @pytest.mark.large
     def test_matrix_matches_generating_far_out(self):
         for cell in [(30, 30, 30), (40, 20, 19)]:
             assert coeff_by_matrix_sum(*cell) == coeff_by_generating(*cell)
+
+    def test_young_matches_generating_far_out(self):
+        for k in range(1001):
+            assert coeff_by_young_sum(1000, 12, k) == coeff_by_generating(1000, 12, k), k
 
     def test_positivity_and_top_identities(self):
         table = recursion_table(5)

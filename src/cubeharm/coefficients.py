@@ -9,12 +9,13 @@ Routes implemented here:
               program, weighed by support size (n <= 6 in the sweep)
   partition   the same signed sum with each fiber by its closed form, as an
               integer dynamic program over the positions of nu
-  young       generating polynomial assembled over Young diagrams at n = m,
-              joined per length by Horner's rule, and lifted once to n
+  young       generating polynomial assembled over Young diagrams at n = m
+              as integer sums per length, joined by Horner's rule over
+              one denominator, and lifted once to n
   generating  generating polynomial from the Bernoulli recursion
   recursion   table filled in one integer sweep by the coefficient
               recursion, seeded by the m = 1 row's own count and the
-              k = 0 closed form
+              k = 0 closed form, its rows kept as integer numerators
   oracle      symbolic expansion in the elementary basis (small n)
   extremal    closed forms alone, where applicable
 
@@ -23,6 +24,7 @@ cell.
 """
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -193,22 +195,31 @@ def _young_base_poly(m):
 
     A diagram of length l with part multiplicities r_1..r_m contributes
     (-1)**(l-1) (l-1)! young_weight(l, lambda) times the product over
-    parts j of ((2j+1) t + 1)**r_j and (t+1)**(m - l).  The per-length
-    sums are joined by Horner's rule in t + 1 and scaled by (-1)**(m-1) m.
+    parts j of ((2j+1) t + 1)**r_j and (t+1)**(m - l).  The weight's
+    denominator prod r_j! prod ((2j+1)!)**r_j divides D_l = l! (2m+l)!
+    (two multinomials), so each length sums integer numerators over D_l.
+    The per-length sums are joined by Horner's rule in t + 1, the total
+    times l (2m+l) = D_l / D_(l-1) at each step, so it ends over D_m; only
+    then is it scaled by (-1)**(m-1) m and made into `Fraction`s.
     """
-    by_length = [UniPoly()] * (m + 1)
+    dens = [factorial(ell) * factorial(2 * m + ell) for ell in range(m + 1)]
+    by_length = [[0] * (ell + 1) for ell in range(m + 1)]
     for parts in young_diagrams(m, m):
         ell = len(parts)
-        weight = (-1) ** (ell - 1) * factorial(ell - 1) * young_weight(ell, parts)
+        weight = young_weight(ell, parts)
+        sign = (-1) ** (ell - 1) * factorial(ell - 1)
+        num = sign * dens[ell] * weight.numerator // weight.denominator
         product = [1]
         for part in parts:
             # product *= (2 part + 1) t + 1, in integers
             product = [a + (2 * part + 1) * b for a, b in zip(product + [0], [0] + product)]
-        by_length[ell] += weight * UniPoly(product)
-    total = UniPoly()
-    for poly in by_length[1:]:
-        total = UniPoly((0,) + total.coeffs) + total + poly  # total (t + 1) + poly
-    return Fraction((-1) ** (m - 1) * m) * total
+        by_length[ell] = [a + num * c for a, c in zip(by_length[ell], product)]
+    total = [0]
+    for ell in range(1, m + 1):
+        step = ell * (2 * m + ell)  # total (t + 1), brought over D_l, plus the length-l sum
+        total = [step * (a + b) + c for a, b, c in zip(total + [0], [0] + total, by_length[ell])]
+    scale = (-1) ** (m - 1) * m
+    return UniPoly(Fraction(scale * c, dens[m]) for c in total)
 
 
 @lru_cache(maxsize=None)
@@ -281,6 +292,44 @@ def _degree_two_count(n, k):
     return Fraction((k + 1) * (k + 2) * (3 * n - 2 * k), 6 * n)
 
 
+class _RecursionTable(Mapping):
+    """The read-only grid of `recursion_table`, keyed (n, m, k) in sweep order.
+
+    Each row (n, m) below the top layer stays the integer numerators and
+    the denominator its sweep computed, and a cell becomes a `Fraction`
+    only when it is read.  The top layer n = n_max, the one the route
+    reads, is held as `Fraction`s.
+    """
+
+    def __init__(self, n_max, rows, top):
+        self.n_max = n_max
+        self._rows = rows  # (n, m) -> (numerators, denominator), n < n_max
+        self._top = top  # (n_max, m, k) -> Fraction
+
+    def __getitem__(self, cell):
+        value = self._top.get(cell)
+        if value is not None:
+            return value
+        try:
+            n, m, k = cell
+            nums, den = self._rows[n, m]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(cell) from None
+        if not 0 <= k <= n:
+            raise KeyError(cell)
+        return Fraction(nums[k], den)
+
+    def __iter__(self):
+        for n in range(1, self.n_max + 1):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    yield n, m, k
+
+    def __len__(self):
+        n = self.n_max
+        return n * (n + 1) * (n + 2) // 3
+
+
 @lru_cache(maxsize=None)
 def recursion_table(n_max):
     """Fill the whole coefficient grid through the recursion, in one sweep.
@@ -296,23 +345,25 @@ def recursion_table(n_max):
     over the (n-1, m-1) row; the step is zero at k = n-1 and k = n.  The
     row's denominator is the lcm of the step's and the seed's, so each
     step is one integer update, and the row is reduced once at the end.
-    Every cell a closed form covers is cross-checked against it; a
-    mismatch is an internal error.
+    Every cell a closed form covers, which is some of k in {0, 1, n-3,
+    n-2, n-1, n}, is cross-checked against it; a mismatch is an internal
+    error.  The result is a read-only mapping (n, m, k) -> `Fraction`
+    that keeps the rows as they were swept and builds the `Fraction`s of
+    the top layer n = n_max at once, of a lower cell when it is read.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    table = {}
-    below = {}  # m -> (numerators, denominator) of the rows of n - 1
+    rows = {}  # (n, m) -> (numerators, denominator)
     for n in range(1, n_max + 1):
-        rows = {}
+        covered = sorted(k for k in {0, 1, n - 3, n - 2, n - 1, n} if k >= 0)
         for m in range(1, n + 1):
-            checks = [closed_form(n, m, k) for k in range(n + 1)]
+            checks = {k: closed_form(n, m, k) for k in covered}
             if m == 1:
                 row = [_degree_two_count(n, k) for k in range(n + 1)]
                 den = lcm(*(c.denominator for c in row))
                 nums = [c.numerator * (den // c.denominator) for c in row]
             else:
-                prev, den_below = below[m - 1]
+                prev, den_below = rows[n - 1, m - 1]
                 seed = checks[0]
                 step_den = n * (m - 1) * den_below
                 den = lcm(step_den, seed.denominator)
@@ -325,19 +376,18 @@ def recursion_table(n_max):
                             (2 * m + k - 1) * prev[k] - (k + 1) * prev[k + 1]
                         )
                     nums.append(num)
-            for k, (num, check) in enumerate(zip(nums, checks)):
-                if check is not None and check.numerator * den != num * check.denominator:
+            for k, check in checks.items():
+                if check is not None and check.numerator * den != nums[k] * check.denominator:
                     raise RuntimeError(
                         f"recursion sweep disagrees with closed form at ({n},{m},{k})"
                     )
             common = gcd(den, *nums)
-            den //= common
-            nums = [num // common for num in nums]
-            rows[m] = (nums, den)
-            for k, num in enumerate(nums):
-                table[(n, m, k)] = Fraction(num, den)
-        below = rows
-    return table
+            rows[n, m] = ([num // common for num in nums], den // common)
+    top = {}
+    for m in range(1, n_max + 1):
+        nums, den = rows.pop((n_max, m))
+        top.update(((n_max, m, k), Fraction(num, den)) for k, num in enumerate(nums))
+    return _RecursionTable(n_max, rows, top)
 
 
 def coeff_by_recursion(n, m, k):

@@ -39,7 +39,7 @@ LIMITS = {
     "Young diagrams": (1_000_000, "Young diagram part estimate p(m) m"),
     "lift": (100_000_000, "lift product estimate"),
     "generating family": (2_000_000, "generating-family product estimate m^3"),
-    "recursion table": (200_000, "recursion table cell count"),
+    "recursion table": (1_500_000, "recursion table cell count"),
     "Bernoulli numbers": (500, "Bernoulli number count"),
     "series order": (128, "series order"),
     "averaging": (20_000_000, "degree-weighted averaging term count"),
@@ -130,7 +130,10 @@ def _lift(n, m):
 
 
 def _recursion_cells(n, m):
-    """Cells of `recursion_table(n)`, which only rows with m >= 2 build."""
+    """Cells of `recursion_table(n)`, which only rows with m >= 2 build:
+    n (n+1) (n+2) / 3, each one integer update of the sweep, whose
+    integers grow with n.  The last admitted table, n = 164, runs about
+    3 s through the CLI on a 2-core machine."""
     return n * (n + 1) * (n + 2) // 3 if m >= 2 else 0
 
 

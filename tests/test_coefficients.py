@@ -291,6 +291,7 @@ class TestRecursionTable:
             ((5, 1, 1), (5, 1, 1)),
             ((5, 2, 3), (5, 2, 3)),
             ((7, 4, 7), (7, 4, 7)),
+            ((8, 3, 5), (8, 3, 5)),
             ((6, 3, 0), (6, 3, 1)),
         ]
         for cell, caught in cases:
@@ -307,6 +308,33 @@ class TestRecursionTable:
                     recursion_table(cell[0])
             finally:
                 recursion_table.cache_clear()
+
+    def test_closed_forms_cover_only_the_checked_k(self):
+        # the sweep asks `closed_form` only at these k, so it checks every covered cell
+        for n in range(1, 16):
+            for m in range(1, n + 1):
+                for k in range(n + 1):
+                    if k not in (0, 1, n - 3, n - 2, n - 1, n):
+                        assert closed_form(n, m, k) is None, (n, m, k)
+
+    def test_mapping_contract(self):
+        table = recursion_table(12)
+        reference = fraction_recursion_table(12)
+        assert len(table) == len(reference) == 728
+        assert list(table) == list(reference)
+        assert (5, 2, 3) in table and (12, 12, 12) in table
+        outside = [
+            (5, 2, 6), (12, 2, 13), (5, 0, 1), (5, 6, 1), (12, 13, 1), (13, 2, 1), (5, 2, -1),
+        ]
+        for cell in outside:
+            assert cell not in table
+            with pytest.raises(KeyError):
+                table[cell]
+        first, second = table[(7, 3, 2)], table[(7, 3, 2)]
+        assert type(first) is type(second) is Fraction
+        assert first == second == reference[(7, 3, 2)]
+        with pytest.raises(TypeError):
+            table[(7, 3, 2)] = first
 
     def test_matches_fraction_sweep(self):
         table = recursion_table(30)
@@ -399,6 +427,18 @@ class TestSummedForms:
                 for u in range(1, m + 1):
                     expected = support_weight_by_moebius(n, m, u)
                     assert coefficients._support_weight(n, m, u) == expected, (n, m, u)
+
+    def test_young_route_reads_young_weight(self, monkeypatch):
+        base = coefficients._young_base_poly(6)
+        real = coefficients.young_weight
+        monkeypatch.setattr(coefficients, "young_weight", lambda k, parts: 2 * real(k, parts))
+        coefficients._young_base_poly.cache_clear()
+        try:
+            doubled = coefficients._young_base_poly(6)
+        finally:
+            coefficients._young_base_poly.cache_clear()
+        assert doubled != base
+        assert doubled.coeffs == tuple(2 * c for c in base.coeffs)
 
     def test_young_poly_is_the_per_length_lift(self):
         for n in range(1, 31):

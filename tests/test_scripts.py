@@ -1,6 +1,8 @@
 """Smoke runs of the command-line scripts under scripts/."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,22 @@ def test_scripts_run(tmp_path):
     verified = run_script("run_verifications.py", "--n-max", "3")
     assert verified.returncode == 0, verified.stdout + verified.stderr
     assert " 0 failed" in verified.stdout
+
+
+def test_bench_layers_writes_its_schema(tmp_path):
+    out = tmp_path / "BENCH_layers.json"
+    args = ["--recursion", "4", "6", "--young-m", "5", "--order", "8", "--repeats", "2"]
+    done = run_script("bench_layers.py", *args, "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert list(report) == ["python", "layers"]
+    assert report["python"] == platform.python_version()
+    assert [(layer["name"], layer["args"]) for layer in report["layers"]] == [
+        ("recursion_table", {"n_max": 4}),
+        ("recursion_table", {"n_max": 6}),
+        ("young_base_polys", {"m_max": 5}),
+        ("identity_report", {"order": 8}),
+    ]
+    for layer in report["layers"]:
+        assert list(layer) == ["name", "args", "repeats", "best_s"]
+        assert layer["repeats"] == 2 and layer["best_s"] > 0

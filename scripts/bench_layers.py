@@ -3,15 +3,18 @@
 
 Each layer is one library call, or a short loop of them, timed cold:
 every `lru_cache` of cubeharm's coefficient modules is cleared before
-each repeat, and the best of --repeats wall times is kept.  The layers
-are `recursion_table(n)` for each --recursion n, the Young diagram sums
+each repeat, and the best of --repeats wall times is kept.  One more
+cold call runs under `tracemalloc` and records the layer's peak of
+traced memory in KiB; that call is not timed.  The layers are
+`recursion_table(n)` for each --recursion n, the Young diagram sums
 G_1..G_M of `_young_base_poly` (M = --young-m), and
 `identity_report(--order)`.
 
 The output keeps one schema:
 
     {"python": "3.11.7",
-     "layers": [{"name": ..., "args": {...}, "repeats": R, "best_s": ...}, ...]}
+     "layers": [{"name": ..., "args": {...}, "repeats": R, "best_s": ...,
+                 "peak_kib": ...}, ...]}
 
 Run it from the repository root as
 `PYTHONPATH=src python scripts/bench_layers.py`; compare only files
@@ -21,6 +24,7 @@ written on one machine in one session.
 import argparse
 import json
 import platform
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -41,6 +45,17 @@ def cold_time(call):
     began = perf_counter()
     call()
     return perf_counter() - began
+
+
+def traced_peak(call):
+    """The peak of traced memory, in bytes, of one cold call."""
+    clear_caches()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def layers(args):
@@ -65,10 +80,20 @@ def main():
     report = {"python": platform.python_version(), "layers": []}
     for name, arguments, call in layers(args):
         seconds = min(cold_time(call) for _ in range(args.repeats))
+        peak_kib = traced_peak(call) / 1024
         report["layers"].append(
-            {"name": name, "args": arguments, "repeats": args.repeats, "best_s": round(seconds, 6)}
+            {
+                "name": name,
+                "args": arguments,
+                "repeats": args.repeats,
+                "best_s": round(seconds, 6),
+                "peak_kib": round(peak_kib, 1),
+            }
         )
-        print(f"{name:<18} {json.dumps(arguments):<18} best of {args.repeats}: {seconds:.4f} s")
+        print(
+            f"{name:<18} {json.dumps(arguments):<18} best of {args.repeats}: {seconds:.4f} s,"
+            f" peak {peak_kib:.0f} KiB"
+        )
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

@@ -13,9 +13,9 @@ Routes implemented here:
               as integer sums per length, joined by Horner's rule over
               one denominator, and lifted once to n
   generating  generating polynomial from the Bernoulli recursion
-  recursion   table filled in one integer sweep by the coefficient
-              recursion, seeded by the m = 1 row's own count and the
-              k = 0 closed form, its rows kept as integer numerators
+  recursion   the coefficient recursion walked up each diagonal n - m
+              in integer rows, seeded by the m = 1 row's own count and
+              the k = 0 closed form; only the top layer is held
   oracle      symbolic expansion in the elementary basis (small n)
   extremal    closed forms alone, where applicable
 
@@ -258,23 +258,22 @@ def closed_form(n, m, k):
     """
     _validate(n, m, k)
     values = []
+    b = scaled_bernoulli(m)
     if k == 0:
-        values.append(factorial(2 * m) * (2 ** (2 * m) - 1) * scaled_bernoulli(m))
+        values.append(factorial(2 * m) * (2 ** (2 * m) - 1) * b)
     if k == 1:
+        b_next = scaled_bernoulli(m + 1)
+        low = (2 ** (2 * m) - 1) * b.numerator * b_next.denominator * n
+        high = 2 * m * (2 ** (2 * (m + 1)) - 1) * b_next.numerator * b.denominator
         values.append(
-            factorial(2 * m + 1)
-            * (
-                (2 ** (2 * m) - 1) * scaled_bernoulli(m)
-                - Fraction(2 * m, n) * (2 ** (2 * (m + 1)) - 1) * scaled_bernoulli(m + 1)
-            )
+            Fraction(factorial(2 * m + 1) * (low - high), n * b.denominator * b_next.denominator)
         )
-    if k in (n - 1, n) or (k == n - 2 and m >= 2):
-        values.append(perm(n + 2 * m, 2 * m) * scaled_bernoulli(m))
-    if k == n - 3 and n >= 3 and m >= 2:
-        values.append(
-            perm(n + 2 * m, 2 * m) * scaled_bernoulli(m)
-            - 4 * m * perm(n + 2 * m - 3, 2 * m - 3) * scaled_bernoulli(m - 1)
-        )
+    if k >= n - 3:
+        top = perm(n + 2 * m, 2 * m) * b
+        if k in (n - 1, n) or (k == n - 2 and m >= 2):
+            values.append(top)
+        if k == n - 3 and n >= 3 and m >= 2:
+            values.append(top - 4 * m * perm(n + 2 * m - 3, 2 * m - 3) * scaled_bernoulli(m - 1))
     if not values:
         return None
     if any(v != values[0] for v in values[1:]):
@@ -295,15 +294,13 @@ def _degree_two_count(n, k):
 class _RecursionTable(Mapping):
     """The read-only grid of `recursion_table`, keyed (n, m, k) in sweep order.
 
-    Each row (n, m) below the top layer stays the integer numerators and
-    the denominator its sweep computed, and a cell becomes a `Fraction`
-    only when it is read.  The top layer n = n_max, the one the route
-    reads, is held as `Fraction`s.
+    Only the top layer n = n_max, the one the route reads, is held, as
+    `Fraction`s.  A lower cell (n, m, k) is read from the top layer of
+    `recursion_table(n)`.
     """
 
-    def __init__(self, n_max, rows, top):
+    def __init__(self, n_max, top):
         self.n_max = n_max
-        self._rows = rows  # (n, m) -> (numerators, denominator), n < n_max
         self._top = top  # (n_max, m, k) -> Fraction
 
     def __getitem__(self, cell):
@@ -312,12 +309,12 @@ class _RecursionTable(Mapping):
             return value
         try:
             n, m, k = cell
-            nums, den = self._rows[n, m]
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(cell) from None
-        if not 0 <= k <= n:
+            below = 1 <= m <= n < self.n_max and 0 <= k <= n
+        except (TypeError, ValueError):
+            below = False
+        if not below:
             raise KeyError(cell)
-        return Fraction(nums[k], den)
+        return recursion_table(n)[cell]
 
     def __iter__(self):
         for n in range(1, self.n_max + 1):
@@ -332,40 +329,42 @@ class _RecursionTable(Mapping):
 
 @lru_cache(maxsize=None)
 def recursion_table(n_max):
-    """Fill the whole coefficient grid through the recursion, in one sweep.
+    """Fill the coefficient grid through the recursion, one diagonal at a time.
 
-    Each row (n, m) is swept upward in k as integer numerators over one
-    denominator.  The m = 1 row is `_degree_two_count` over the lcm of
-    its denominators.  A row with m >= 2 starts from the closed form at
+    Row (n, m) reads only row (n-1, m-1), so the top row (n_max, m) is
+    reached by walking the diagonal n - m = n_max - m up from its m = 1
+    row, holding one row of integer numerators over one denominator.
+    The m = 1 row is `_degree_two_count` over the lcm of its
+    denominators.  A row with m >= 2 starts from the closed form at
     k = 0, and step k adds
 
         (n-k)(n-k-1) m ((2m+k-1) c(n-1, m-1, k) - (k+1) c(n-1, m-1, k+1))
         / (n (m-1))
 
-    over the (n-1, m-1) row; the step is zero at k = n-1 and k = n.  The
+    over the row below; the step is zero at k = n-1 and k = n.  The
     row's denominator is the lcm of the step's and the seed's, so each
     step is one integer update, and the row is reduced once at the end.
-    Every cell a closed form covers, which is some of k in {0, 1, n-3,
-    n-2, n-1, n}, is cross-checked against it; a mismatch is an internal
-    error.  The result is a read-only mapping (n, m, k) -> `Fraction`
-    that keeps the rows as they were swept and builds the `Fraction`s of
-    the top layer n = n_max at once, of a lower cell when it is read.
+    Every row of the grid lies on one diagonal, so each is swept once,
+    and every cell a closed form covers, which is some of k in {0, 1,
+    n-3, n-2, n-1, n}, is cross-checked against it; a mismatch is an
+    internal error.  The result is a read-only mapping (n, m, k) ->
+    `Fraction` that holds only the top layer n = n_max.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    rows = {}  # (n, m) -> (numerators, denominator)
-    for n in range(1, n_max + 1):
-        covered = sorted(k for k in {0, 1, n - 3, n - 2, n - 1, n} if k >= 0)
-        for m in range(1, n + 1):
+    top = {}
+    for m_top in range(1, n_max + 1):
+        for m in range(1, m_top + 1):  # up the diagonal; nums, den hold the row below
+            n = n_max - m_top + m
+            covered = sorted(k for k in {0, 1, n - 3, n - 2, n - 1, n} if k >= 0)
             checks = {k: closed_form(n, m, k) for k in covered}
             if m == 1:
                 row = [_degree_two_count(n, k) for k in range(n + 1)]
                 den = lcm(*(c.denominator for c in row))
                 nums = [c.numerator * (den // c.denominator) for c in row]
             else:
-                prev, den_below = rows[n - 1, m - 1]
-                seed = checks[0]
-                step_den = n * (m - 1) * den_below
+                prev, seed = nums, checks[0]
+                step_den = n * (m - 1) * den
                 den = lcm(step_den, seed.denominator)
                 lift = den // step_den
                 num = seed.numerator * (den // seed.denominator)
@@ -382,12 +381,9 @@ def recursion_table(n_max):
                         f"recursion sweep disagrees with closed form at ({n},{m},{k})"
                     )
             common = gcd(den, *nums)
-            rows[n, m] = ([num // common for num in nums], den // common)
-    top = {}
-    for m in range(1, n_max + 1):
-        nums, den = rows.pop((n_max, m))
-        top.update(((n_max, m, k), Fraction(num, den)) for k, num in enumerate(nums))
-    return _RecursionTable(n_max, rows, top)
+            nums, den = [num // common for num in nums], den // common
+        top.update(((n_max, m_top, k), Fraction(num, den)) for k, num in enumerate(nums))
+    return _RecursionTable(n_max, top)
 
 
 def coeff_by_recursion(n, m, k):

@@ -131,9 +131,10 @@ def _lift(n, m):
 
 def _recursion_cells(n, m):
     """Cells of `recursion_table(n)`, which only rows with m >= 2 build:
-    n (n+1) (n+2) / 3, each one integer update of the sweep, whose
-    integers grow with n.  The last admitted table, n = 164, runs about
-    3 s through the CLI on a 2-core machine."""
+    n (n+1) (n+2) / 3, each one integer update of its diagonal walks,
+    whose integers grow with n; only the top layer is held.  The last
+    admitted table, n = 164, runs about 3 s through the CLI on a 2-core
+    machine."""
     return n * (n + 1) * (n + 2) // 3 if m >= 2 else 0
 
 
@@ -141,8 +142,8 @@ def _recursion_cells(n, m):
 ROUTE_COSTS = {
     "matrix": lambda n, m, k: [("point DP", _point_dp(n, m, k))],
     "partition": lambda n, m, k: [("partition DP", _partition_dp(n, m))],
-    # p(m) diagrams of up to m parts, then one lift by (t+1)**(n-m), which `_lift` prices as m
-    "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", _lift(n, m))],
+    # p(m) diagrams of up to m parts, then one lift by (t+1)**(n-m)
+    "young": lambda n, m, k: [("Young diagrams", _partitions(m) * m), ("lift", _lift(n, 1))],
     "generating": lambda n, m, k: [("generating family", m**3), ("factorial", n + 2 * m)],
     "recursion": lambda n, m, k: [("recursion table", _recursion_cells(n, m))],
     "oracle": lambda n, m, k: [("oracle", n)],

@@ -226,6 +226,38 @@ def test_large_request_is_refused_at_once(argv):
     assert elapsed < 1
 
 
+# Runs its arguments as a child and reports the child's exit code and
+# resident peak.  A child forked by a large process starts its peak at the
+# parent's size, so the test measures through this small process.
+PEAK_OF_CHILD = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.large
+def test_one_recursion_cell_holds_one_layer(capsys):
+    """One cell of the largest recursion table the cost policy admits runs
+    in a child whose resident peak stays small, since the table holds only
+    its top layer (holding every row, it would peak near 235 MiB)."""
+    argv = "coeff --n 164 --m 2 --k 82 --route recursion --allow-large".split()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_OF_CHILD, sys.executable, "-m", "cubeharm", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, peak_kib = map(int, done.stderr.split())
+    assert done.returncode == code == 0
+    expected = run(capsys, *argv[:-2], "generating")[1].split(None, 1)[1]
+    assert done.stdout == f"{'recursion':<12} {expected}"
+    assert peak_kib < 64 * 1024  # ru_maxrss is in KiB on Linux
+
+
 # The library call each refused command starts its work with; a coeff
 # command starts with its route.
 STARTS = {

@@ -1,5 +1,6 @@
 import cmath
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -282,6 +283,24 @@ class TestRecursionTable:
         for n in range(1, 13):
             for k in range(n + 1):
                 assert coeff_by_recursion(n, 1, k) == table[(n, 1, k)]
+
+    def test_table_holds_its_top_layer(self):
+        # one table per call: a lower cell is the top layer of its own table
+        recursion_table.cache_clear()
+        table = recursion_table(24)
+        assert recursion_table.cache_info().currsize == 1
+        assert table[(20, 7, 3)] == coeff_by_young_sum(20, 7, 3)
+        assert recursion_table.cache_info().currsize == 2
+        recursion_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = recursion_table(40)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the top layer, 1,640 cells, takes about 0.4 MiB; every row of the grid would take 1.6 MiB
+        assert held < 600 * 1024
+        assert table[(40, 40, 40)] == coeff_by_generating(40, 40, 40)
 
     def test_cross_check_fires(self, monkeypatch):
         real = coefficients.closed_form

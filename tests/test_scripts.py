@@ -47,5 +47,5 @@ def test_bench_layers_writes_its_schema(tmp_path):
         ("identity_report", {"order": 8}),
     ]
     for layer in report["layers"]:
-        assert list(layer) == ["name", "args", "repeats", "best_s"]
-        assert layer["repeats"] == 2 and layer["best_s"] > 0
+        assert list(layer) == ["name", "args", "repeats", "best_s", "peak_kib"]
+        assert layer["repeats"] == 2 and layer["best_s"] > 0 and layer["peak_kib"] > 0

@@ -6,7 +6,8 @@ every `lru_cache` of cubeharm's coefficient modules is cleared before
 each repeat, and the best of --repeats wall times is kept.  One more
 cold call runs under `tracemalloc` and records the layer's peak of
 traced memory in KiB; that call is not timed.  The layers are
-`recursion_table(n)` for each --recursion n, the Young diagram sums
+`recursion_table(n)` for each --recursion n, the whole grid n <= N read
+row by row from `recursion_rows(N)` (N = --grid), the Young diagram sums
 G_1..G_M of `_young_base_poly` (M = --young-m), and
 `identity_report(--order)`.
 
@@ -62,6 +63,9 @@ def layers(args):
     """(name, arguments, call) of each layer, in the order they are timed."""
     for n in args.recursion:
         yield "recursion_table", {"n_max": n}, lambda n=n: coefficients.recursion_table(n)
+    yield "recursion_rows", {"n_max": args.grid}, lambda: sum(
+        len(nums) for _, _, nums, _ in coefficients.recursion_rows(args.grid)
+    )
     yield "young_base_polys", {"m_max": args.young_m}, lambda: [
         coefficients._young_base_poly(m) for m in range(1, args.young_m + 1)
     ]
@@ -71,6 +75,7 @@ def layers(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--recursion", type=int, nargs="+", default=[30, 60])
+    parser.add_argument("--grid", type=int, default=100)
     parser.add_argument("--young-m", type=int, default=25)
     parser.add_argument("--order", type=int, default=48)
     parser.add_argument("--repeats", type=int, default=5)

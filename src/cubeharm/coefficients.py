@@ -13,9 +13,9 @@ Routes implemented here:
               as integer sums per length, joined by Horner's rule over
               one denominator, and lifted once to n
   generating  generating polynomial from the Bernoulli recursion
-  recursion   the coefficient recursion walked up each diagonal n - m
-              in integer rows, seeded by the m = 1 row's own count and
-              the k = 0 closed form; only the top layer is held
+  recursion   the coefficient recursion walked once up each diagonal
+              n - m in integer rows, seeded by the m = 1 row's own count
+              and the k = 0 closed form; a table keeps only its top layer
   oracle      symbolic expansion in the elementary basis (small n)
   extremal    closed forms alone, where applicable
 
@@ -24,12 +24,12 @@ cell.
 """
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
 from operator import add
+from types import MappingProxyType
 
 from . import cost, generating
 from .bernoulli import scaled_bernoulli
@@ -48,6 +48,7 @@ __all__ = [
     "coeff_by_expansion",
     "closed_form",
     "coeff_by_recursion",
+    "recursion_rows",
     "recursion_table",
     "ROUTES",
     "coefficient_record",
@@ -291,51 +292,14 @@ def _degree_two_count(n, k):
     return Fraction((k + 1) * (k + 2) * (3 * n - 2 * k), 6 * n)
 
 
-class _RecursionTable(Mapping):
-    """The read-only grid of `recursion_table`, keyed (n, m, k) in sweep order.
+def recursion_rows(n_max):
+    """Walk the recursion up every diagonal once, yielding each row of the grid.
 
-    Only the top layer n = n_max, the one the route reads, is held, as
-    `Fraction`s.  A lower cell (n, m, k) is read from the top layer of
-    `recursion_table(n)`.
-    """
-
-    def __init__(self, n_max, top):
-        self.n_max = n_max
-        self._top = top  # (n_max, m, k) -> Fraction
-
-    def __getitem__(self, cell):
-        value = self._top.get(cell)
-        if value is not None:
-            return value
-        try:
-            n, m, k = cell
-            below = 1 <= m <= n < self.n_max and 0 <= k <= n
-        except (TypeError, ValueError):
-            below = False
-        if not below:
-            raise KeyError(cell)
-        return recursion_table(n)[cell]
-
-    def __iter__(self):
-        for n in range(1, self.n_max + 1):
-            for m in range(1, n + 1):
-                for k in range(n + 1):
-                    yield n, m, k
-
-    def __len__(self):
-        n = self.n_max
-        return n * (n + 1) * (n + 2) // 3
-
-
-@lru_cache(maxsize=None)
-def recursion_table(n_max):
-    """Fill the coefficient grid through the recursion, one diagonal at a time.
-
-    Row (n, m) reads only row (n-1, m-1), so the top row (n_max, m) is
-    reached by walking the diagonal n - m = n_max - m up from its m = 1
-    row, holding one row of integer numerators over one denominator.
-    The m = 1 row is `_degree_two_count` over the lcm of its
-    denominators.  A row with m >= 2 starts from the closed form at
+    Row (n, m) reads only row (n-1, m-1), so each diagonal n - m =
+    n_max - m_top is walked up from its m = 1 row to its top row
+    (n_max, m_top), holding one row of integer numerators over one
+    denominator.  The m = 1 row is `_degree_two_count` over the lcm of
+    its denominators.  A row with m >= 2 starts from the closed form at
     k = 0, and step k adds
 
         (n-k)(n-k-1) m ((2m+k-1) c(n-1, m-1, k) - (k+1) c(n-1, m-1, k+1))
@@ -347,12 +311,12 @@ def recursion_table(n_max):
     Every row of the grid lies on one diagonal, so each is swept once,
     and every cell a closed form covers, which is some of k in {0, 1,
     n-3, n-2, n-1, n}, is cross-checked against it; a mismatch is an
-    internal error.  The result is a read-only mapping (n, m, k) ->
-    `Fraction` that holds only the top layer n = n_max.
+    internal error.  Each row is yielded as it passes, reduced, as
+    (n, m, numerators over k, denominator); the top layer comes in
+    increasing m.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    top = {}
     for m_top in range(1, n_max + 1):
         for m in range(1, m_top + 1):  # up the diagonal; nums, den hold the row below
             n = n_max - m_top + m
@@ -381,9 +345,21 @@ def recursion_table(n_max):
                         f"recursion sweep disagrees with closed form at ({n},{m},{k})"
                     )
             common = gcd(den, *nums)
-            nums, den = [num // common for num in nums], den // common
-        top.update(((n_max, m_top, k), Fraction(num, den)) for k, num in enumerate(nums))
-    return _RecursionTable(n_max, top)
+            nums, den = tuple(num // common for num in nums), den // common
+            yield n, m, nums, den
+
+
+@lru_cache(maxsize=None)
+def recursion_table(n_max):
+    """The top layer n = n_max of `recursion_rows`, read-only: (n_max, m, k) -> `Fraction`."""
+    return MappingProxyType(
+        {
+            (n, m, k): Fraction(num, den)
+            for n, m, nums, den in recursion_rows(n_max)
+            if n == n_max
+            for k, num in enumerate(nums)
+        }
+    )
 
 
 def coeff_by_recursion(n, m, k):

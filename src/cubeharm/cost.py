@@ -130,9 +130,9 @@ def _lift(n, m):
 
 
 def _recursion_cells(n, m):
-    """Cells of `recursion_table(n)`, which only rows with m >= 2 build:
-    n (n+1) (n+2) / 3, each one integer update of its diagonal walks,
-    whose integers grow with n; only the top layer is held.  The last
+    """Cells of the rows `recursion_rows(n)` walks for the table that rows
+    with m >= 2 read: n (n+1) (n+2) / 3, each one integer update, whose
+    integers grow with n; `recursion_table(n)` keeps the top layer.  The last
     admitted table, n = 164, runs about 3 s through the CLI on a 2-core
     machine."""
     return n * (n + 1) * (n + 2) // 3 if m >= 2 else 0

@@ -25,7 +25,13 @@ from math import comb, factorial
 from operator import add
 
 from cubeharm.bernoulli import scaled_bernoulli
-from cubeharm.coefficients import _degree_two_count, _sign_weight, closed_form, young_weight
+from cubeharm.coefficients import (
+    _degree_two_count,
+    _sign_weight,
+    closed_form,
+    recursion_rows,
+    young_weight,
+)
 from cubeharm.combinat import compositions, young_diagrams
 from cubeharm.invariants import _check_budget, elementary_symmetric_squares
 from cubeharm.multipoly import MultiPoly, grlex_key
@@ -221,6 +227,16 @@ def fraction_recursion_table(n_max):
                     )
                 table[(n, m, k)] = value
     return table
+
+
+def recursion_grid(n_max):
+    """Every cell with n <= n_max, read from `recursion_rows` in one pass,
+    as a dict (n, m, k) -> `Fraction` in the order of `fraction_recursion_table`."""
+    return {
+        (n, m, k): Fraction(num, den)
+        for n, m, nums, den in sorted(recursion_rows(n_max))
+        for k, num in enumerate(nums)
+    }
 
 
 @lru_cache(maxsize=None)

@@ -12,11 +12,7 @@ from itertools import permutations, product
 from math import factorial
 
 from cubeharm.bernoulli import scaled_bernoulli
-from cubeharm.coefficients import (
-    recursion_table,
-    route_records,
-    young_weight,
-)
+from cubeharm.coefficients import route_records, young_weight
 from cubeharm.combinat import compositions, young_diagrams
 from cubeharm.generating import (
     bernstein_transform,
@@ -33,7 +29,7 @@ from cubeharm.harmonics import (
 from cubeharm.invariants import flag_moment, flag_moment_even, skeleton_invariant
 from cubeharm.multipoly import MultiPoly
 from cubeharm.unipoly import ONE, T, UniPoly
-from oracles import matrix_weight, partition_sign_weight, power, signed_permute
+from oracles import matrix_weight, partition_sign_weight, power, recursion_grid, signed_permute
 from staircase import quad_matrices_with_colsums
 
 
@@ -76,8 +72,8 @@ def test_criterion_3_derived_spot_values():
         (3, 1): [1, Fraction(7, 3), Fraction(10, 3), Fraction(10, 3)],
         (3, 2): [4, Fraction(28, 3), Fraction(28, 3), Fraction(28, 3)],
     }
-    table = recursion_table(3)
-    ok = True
+    table = recursion_grid(3)
+    ok = len(table) == 20
     for (n, m), row in expected_rows.items():
         for k, value in enumerate(row):
             for record in route_records(n, m, k):
@@ -102,7 +98,9 @@ def test_criterion_4_positivity():
     for m in range(1, 13):
         g = generating_poly(m)
         ok = ok and g.degree == m and all(c > 0 for c in g.coeffs)
-    for (n, m, k), value in recursion_table(5).items():
+    grid = recursion_grid(5)
+    ok = ok and len(grid) == 70
+    for (n, m, k), value in grid.items():
         ok = ok and value > 0
     _verdict(4, "positive generating polynomials and positive coefficients", ok)
 

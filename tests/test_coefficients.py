@@ -18,6 +18,7 @@ from cubeharm.coefficients import (
     coeff_by_recursion,
     coeff_by_young_sum,
     coefficient_record,
+    recursion_rows,
     recursion_table,
     route_records,
     young_generating_poly,
@@ -29,6 +30,7 @@ from oracles import (
     matrix_sum_by_fibers,
     matrix_weight,
     partition_sign_weight,
+    recursion_grid,
     support_weight_by_moebius,
     young_poly_by_lengths,
 )
@@ -239,7 +241,8 @@ class TestClosedForms:
 
 class TestRecursionTable:
     def test_rows(self):
-        table = recursion_table(3)
+        table = recursion_grid(3)
+        assert len(table) == 20
         assert table[(3, 2, 2)] == Fraction(28, 3)
         assert [table[(3, 1, k)] for k in range(4)] == [
             1,
@@ -258,7 +261,8 @@ class TestRecursionTable:
         # the filled table satisfies the recursion identity however it is
         # rearranged: check the backward and diagonal forms directly
         n_max = 5
-        table = recursion_table(n_max)
+        table = recursion_grid(n_max)
+        assert len(table) == 70
         for n in range(2, n_max + 1):
             for m in range(2, n + 1):
                 for k in range(1, n - 1):
@@ -279,18 +283,22 @@ class TestRecursionTable:
         recursion_table.cache_clear()
         assert coeff_by_recursion(1000, 1, 500) == Fraction(501 * 502 * 2000, 6000)
         assert recursion_table.cache_info().currsize == 0
-        table = recursion_table(12)
+        table = recursion_grid(12)
+        assert len(table) == 728
+        assert recursion_table.cache_info().currsize == 0
         for n in range(1, 13):
             for k in range(n + 1):
                 assert coeff_by_recursion(n, 1, k) == table[(n, 1, k)]
 
     def test_table_holds_its_top_layer(self):
-        # one table per call: a lower cell is the top layer of its own table
+        # one table per call: a lower cell is not in it, and reading one builds no other table
         recursion_table.cache_clear()
         table = recursion_table(24)
         assert recursion_table.cache_info().currsize == 1
-        assert table[(20, 7, 3)] == coeff_by_young_sum(20, 7, 3)
-        assert recursion_table.cache_info().currsize == 2
+        assert table[(24, 7, 3)] == coeff_by_young_sum(24, 7, 3)
+        with pytest.raises(KeyError):
+            table[(20, 7, 3)]
+        assert recursion_table.cache_info().currsize == 1
         recursion_table.cache_clear()
         tracemalloc.start()
         try:
@@ -339,34 +347,52 @@ class TestRecursionTable:
     def test_mapping_contract(self):
         table = recursion_table(12)
         reference = fraction_recursion_table(12)
-        assert len(table) == len(reference) == 728
-        assert list(table) == list(reference)
-        assert (5, 2, 3) in table and (12, 12, 12) in table
+        assert len(table) == 12 * 13
+        assert list(table) == [(12, m, k) for m in range(1, 13) for k in range(13)]
+        assert (12, 2, 3) in table and (12, 12, 12) in table
         outside = [
-            (5, 2, 6), (12, 2, 13), (5, 0, 1), (5, 6, 1), (12, 13, 1), (13, 2, 1), (5, 2, -1),
+            (5, 2, 3), (11, 11, 11), (5, 2, 6), (12, 2, 13), (12, 0, 1), (12, 13, 1), (13, 2, 1),
+            (12, 2, -1), (12, 2), "cell",
         ]
         for cell in outside:
             assert cell not in table
             with pytest.raises(KeyError):
                 table[cell]
-        first, second = table[(7, 3, 2)], table[(7, 3, 2)]
-        assert type(first) is type(second) is Fraction
-        assert first == second == reference[(7, 3, 2)]
+        for cell, value in table.items():
+            assert type(value) is type(table[cell]) is Fraction
+            assert value == table[cell] == reference[cell]
         with pytest.raises(TypeError):
-            table[(7, 3, 2)] = first
+            table[(12, 3, 2)] = table[(12, 3, 2)]
+        # the whole grid is read from the rows, cell by cell as the Fraction sweep
+        grid = recursion_grid(12)
+        assert len(grid) == len(reference) == 728
+        assert list(grid) == list(reference)
+        for cell, value in grid.items():
+            assert type(value) is Fraction and value == reference[cell]
 
     def test_matches_fraction_sweep(self):
-        table = recursion_table(30)
+        table = recursion_grid(30)
         reference = fraction_recursion_table(30)
+        assert len(table) == 9920
         assert list(table) == list(reference)
         for cell, value in table.items():
             assert type(value) is Fraction
             assert value == reference[cell]
             assert value > 0
 
+    def test_whole_grid_to_100_positive_and_nondecreasing(self):
+        """c > 0 and nondecreasing in k at every cell with n <= 100, by the recursion route."""
+        rows, cells = set(), 0
+        for n, m, nums, den in recursion_rows(100):
+            rows.add((n, m))
+            cells += len(nums)
+            assert len(nums) == n + 1 and den > 0 and min(nums) > 0, (n, m)
+            assert all(low <= high for low, high in zip(nums, nums[1:])), (n, m)
+        assert len(rows) == 5050 and cells == 343400
+
     @pytest.mark.large
     def test_n60_positive_and_matches_generating(self):
-        table = recursion_table(60)
+        table = recursion_grid(60)
         assert len(table) == 75640
         for (n, m, k), value in table.items():
             assert value > 0
@@ -493,7 +519,7 @@ class TestRouteAgreement:
 
     @pytest.mark.large
     def test_matrix_matches_recursion_to_16(self):
-        table = recursion_table(16)
+        table = recursion_grid(16)
         assert len(table) == 1632
         for (n, m, k), value in table.items():
             assert coeff_by_matrix_sum(n, m, k) == value, (n, m, k)
@@ -507,7 +533,8 @@ class TestRouteAgreement:
             assert coeff_by_young_sum(1000, 12, k) == coeff_by_generating(1000, 12, k), k
 
     def test_positivity_and_top_identities(self):
-        table = recursion_table(5)
+        table = recursion_grid(5)
+        assert len(table) == 70
         for n in range(1, 6):
             for m in range(1, n + 1):
                 assert table[(n, m, n)] == table[(n, m, n - 1)]

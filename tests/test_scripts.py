@@ -34,7 +34,8 @@ def test_scripts_run(tmp_path):
 
 def test_bench_layers_writes_its_schema(tmp_path):
     out = tmp_path / "BENCH_layers.json"
-    args = ["--recursion", "4", "6", "--young-m", "5", "--order", "8", "--repeats", "2"]
+    args = ["--recursion", "4", "6", "--grid", "8", "--young-m", "5", "--order", "8"]
+    args += ["--repeats", "2"]
     done = run_script("bench_layers.py", *args, "--out", str(out))
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
@@ -43,6 +44,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert [(layer["name"], layer["args"]) for layer in report["layers"]] == [
         ("recursion_table", {"n_max": 4}),
         ("recursion_table", {"n_max": 6}),
+        ("recursion_rows", {"n_max": 8}),
         ("young_base_polys", {"m_max": 5}),
         ("identity_report", {"order": 8}),
     ]

@@ -8,8 +8,10 @@ cold call runs under `tracemalloc` and records the layer's peak of
 traced memory in KiB; that call is not timed.  The layers are
 `recursion_table(n)` for each --recursion n, the whole grid n <= N read
 row by row from `recursion_rows(N)` (N = --grid), the Young diagram sums
-G_1..G_M of `_young_base_poly` (M = --young-m), and
-`identity_report(--order)`.
+G_1..G_M of `_young_base_poly` (M = --young-m),
+`identity_report(--order)`, and the cold start: `import cubeharm.cli`
+in a fresh interpreter, which times its own import and, in one more
+interpreter, records the import's peak of traced memory.
 
 The output keeps one schema:
 
@@ -24,7 +26,10 @@ written on one machine in one session.
 
 import argparse
 import json
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -32,6 +37,16 @@ from time import perf_counter
 from cubeharm import bernoulli, coefficients, generating
 
 CACHED = (bernoulli, coefficients, generating)
+SRC = Path(coefficients.__file__).resolve().parents[1]
+IMPORT_CHILD = """
+import sys, tracemalloc
+from time import perf_counter
+if sys.argv[1:] == ["trace"]:
+    tracemalloc.start()
+began = perf_counter()
+import cubeharm.cli
+print(perf_counter() - began, tracemalloc.get_traced_memory()[1])
+"""
 
 
 def clear_caches():
@@ -59,8 +74,23 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def import_child(*flags):
+    """(seconds, traced peak in bytes) of `import cubeharm.cli` in a fresh
+    interpreter that imports this cubeharm; the peak is 0 unless traced."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD, *flags],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seconds, peak = done.stdout.split()
+    return float(seconds), int(peak)
+
+
 def layers(args):
-    """(name, arguments, call) of each layer, in the order they are timed."""
+    """(name, arguments, call) of each library layer, in the order they are timed."""
     for n in args.recursion:
         yield "recursion_table", {"n_max": n}, lambda n=n: coefficients.recursion_table(n)
     yield "recursion_rows", {"n_max": args.grid}, lambda: sum(
@@ -70,6 +100,18 @@ def layers(args):
         coefficients._young_base_poly(m) for m in range(1, args.young_m + 1)
     ]
     yield "identity_report", {"order": args.order}, lambda: generating.identity_report(args.order)
+
+
+def measures(args):
+    """(name, arguments, timed, peak) of every layer: `timed()` gives the
+    seconds of one cold run and `peak()` the traced peak, in bytes, of one
+    more.  The library layers come first, then the cold import."""
+    for name, arguments, call in layers(args):
+        yield name, arguments, lambda c=call: cold_time(c), lambda c=call: traced_peak(c)
+    yield (
+        "import", {"module": "cubeharm.cli"},
+        lambda: import_child()[0], lambda: import_child("trace")[1],
+    )
 
 
 def main():
@@ -83,9 +125,9 @@ def main():
     args = parser.parse_args()
 
     report = {"python": platform.python_version(), "layers": []}
-    for name, arguments, call in layers(args):
-        seconds = min(cold_time(call) for _ in range(args.repeats))
-        peak_kib = traced_peak(call) / 1024
+    for name, arguments, timed, peak in measures(args):
+        seconds = min(timed() for _ in range(args.repeats))
+        peak_kib = peak() / 1024
         report["layers"].append(
             {
                 "name": name,

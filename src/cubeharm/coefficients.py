@@ -23,8 +23,7 @@ All routes return identical exact rationals; tests enforce this cell by
 cell.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
@@ -56,13 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoefficientRecord:
-    n: int
-    m: int
-    k: int
-    value: Fraction
-    route: str
+CoefficientRecord = namedtuple("CoefficientRecord", "n m k value route")
 
 
 def _validate(n, m, k):

@@ -9,7 +9,7 @@ defining series identities with polynomial coefficients, exactly, up to
 a truncation order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -136,17 +136,11 @@ def bernstein_transform(n, m):
     return UniPoly(Fraction(c, den) for c in reversed(nums))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+IdentityCheck = namedtuple("IdentityCheck", "name ok detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    order: int
-    checks: tuple
+class IdentityReport(namedtuple("IdentityReport", "order checks")):
+    __slots__ = ()
 
     @property
     def all_ok(self):

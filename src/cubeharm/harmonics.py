@@ -10,7 +10,7 @@ derivatives of the fundamental alternating polynomial, and checks that
 the skeleton invariants annihilate it as differential operators.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -71,15 +71,10 @@ def skeleton_average(f, n, k):
     return MultiPoly(n + 1, total)
 
 
-@dataclass(frozen=True)
-class MvpReport:
+class MvpReport(namedtuple("MvpReport", "f n k residual holds")):
     """Outcome of one mean-value check; `residual` lives in (x, r)."""
 
-    f: MultiPoly
-    n: int
-    k: int
-    residual: MultiPoly
-    holds: bool
+    __slots__ = ()
 
 
 def mean_value_report(f, n, k):
@@ -138,13 +133,11 @@ def annihilates_alternating(n, m, k):
     return apply_as_operator(operator, fundamental_alternating(n)).is_zero()
 
 
-@dataclass(frozen=True)
-class HarmonicBasisReport:
-    n: int
-    dimension: int
-    expected_dimension: int
-    mvp_failures: tuple   # ((degree_index, element_index, k), ...)
-    closure_ok: bool
+class HarmonicBasisReport(
+    namedtuple("HarmonicBasisReport", "n dimension expected_dimension mvp_failures closure_ok")
+):
+    # mvp_failures: ((degree_index, element_index, k), ...)
+    __slots__ = ()
 
     @property
     def all_ok(self):

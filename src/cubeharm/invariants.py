@@ -19,7 +19,7 @@ yields the leading coefficients that every other computation route must
 reproduce.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
@@ -169,8 +169,7 @@ def fundamental_alternating(n):
     return MultiPoly(n, terms)
 
 
-@dataclass(frozen=True)
-class InvariantExpansion:
+class InvariantExpansion(namedtuple("InvariantExpansion", "n m k leading lower_terms")):
     """Expansion of a skeleton invariant in the elementary squared basis.
 
     `leading` multiplies the top elementary polynomial e_{2m}; the lower
@@ -178,11 +177,8 @@ class InvariantExpansion:
     elementary polynomials.
     """
 
-    n: int
-    m: int
-    k: int
-    leading: Fraction
-    lower_terms: tuple  # ((partition tuple, Fraction), ...) in enumeration order
+    # lower_terms: ((partition tuple, Fraction), ...) in enumeration order
+    __slots__ = ()
 
 
 def _elementary_product(n, parts):

@@ -1,6 +1,10 @@
-"""No module of the package reads a private name of another of its modules."""
+"""No module of the package reads a private name of another of its modules,
+and importing the package loads no introspection machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cubeharm
@@ -40,3 +44,27 @@ def test_no_module_reads_another_modules_private_name():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _newly_loaded(statement):
+    """Modules a fresh interpreter loads while running `statement`."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_import_loads_no_introspection_modules():
+    # in a subprocess: pytest itself has already imported these
+    loaded = _newly_loaded("import cubeharm, cubeharm.cli")
+    assert "cubeharm.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis"} == set()
+    assert "cubeharm.cli" not in _newly_loaded("import cubeharm")

@@ -47,6 +47,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
         ("recursion_rows", {"n_max": 8}),
         ("young_base_polys", {"m_max": 5}),
         ("identity_report", {"order": 8}),
+        ("import", {"module": "cubeharm.cli"}),
     ]
     for layer in report["layers"]:
         assert list(layer) == ["name", "args", "repeats", "best_s", "peak_kib"]
